@@ -56,9 +56,26 @@ class ReducedSample:
     lambda_used: float
 
 
-def _precision_floor(cycle: LimitCycle, rho0: float) -> float:
-    return max(FLOOR_ABS, FLOOR_ABS * abs(rho0),
-               FLOOR_GAMMA_FACTOR * cycle.gamma_resid)
+def _precision_floor(cycle: LimitCycle, rho0):
+    return np.maximum(np.maximum(FLOOR_ABS, FLOOR_ABS * np.abs(rho0)),
+                      FLOOR_GAMMA_FACTOR * cycle.gamma_resid)
+
+
+def _trusted_window(cycle: LimitCycle, rho: np.ndarray, period_steps: int):
+    """Averaging window [i1, i2] of each deviation column (time on axis 0).
+
+    i2 is the last index where |rho| exceeds the precision floor set by
+    rho[0]; the window reaches back over the whole periods of ``period_steps``
+    that fit, at most two.  ``periods`` counts them.  Where it is 0 (|rho|
+    never exceeds the floor, or only within the first period) the window is
+    the last two periods of the run.
+    """
+    n = rho.shape[0] - 1
+    above = np.abs(rho) > _precision_floor(cycle, rho[0])
+    i2 = n - np.argmax(above[::-1], axis=0)
+    periods = np.where(above.any(axis=0), np.minimum(i2 // period_steps, 2), 0)
+    i2 = np.where(periods > 0, i2, n)
+    return i2 - np.where(periods > 0, periods, 2) * period_steps, i2, periods
 
 
 def observable_deviation(trajectory: ode.Trajectory, cycle: LimitCycle) -> ObservableDeviation:
@@ -68,17 +85,12 @@ def observable_deviation(trajectory: ode.Trajectory, cycle: LimitCycle) -> Obser
     theta = trajectory.states[..., 0]
     r = trajectory.states[..., 1]
     rho = r - cycle.gamma_at(theta)
-    floor = _precision_floor(cycle, rho[0])
-    above = np.abs(rho) > floor
-    if not above.any():
-        raise TooShort("deviation never exceeds the precision floor")
-    i2 = int(len(rho) - 1 - np.argmax(above[::-1]))
-    w = int(round(2.0 * cycle.period / trajectory.step_size))
-    i1 = i2 - w
-    if i1 < 0:
+    i1, i2, periods = _trusted_window(
+        cycle, rho, int(round(cycle.period / trajectory.step_size)))
+    if periods < 2:
         raise TooShort("fewer than two periods above the precision floor")
     return ObservableDeviation(times=trajectory.times, rho=rho,
-                               cutoff_index=i2, window=(i1, i2),
+                               cutoff_index=int(i2), window=(int(i1), int(i2)),
                                period=cycle.period)
 
 
@@ -129,7 +141,6 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics,
     step = cycle.step
     rho0 = ics[:, 1] - cycle.gamma_at(ics[:, 0])
     n = _horizon_steps(cycle, lam, float(np.max(np.abs(rho0))) if ics.size else 1.0)
-    w = 2 * STEPS_PER_PERIOD
     times = np.arange(n + 1) * step
     r_cap = 10.0 * float(np.max(cycle.gamma_at(np.linspace(0, 2 * np.pi, 256))))
 
@@ -152,20 +163,10 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics,
         if np.any(r >= r_cap) or np.any(r <= 0):
             raise BasinEscape("trajectory left the sandbox around the cycle")
         rho = r - cycle.gamma_at(theta)
-        floors = np.maximum.reduce([
-            np.full(chunk.shape[0], FLOOR_ABS),
-            FLOOR_ABS * np.abs(rho[0]),
-            np.full(chunk.shape[0], FLOOR_GAMMA_FACTOR * cycle.gamma_resid),
-        ])
-        above = np.abs(rho) > floors
-        has = above.any(axis=0)
-        i2 = np.where(has, n - np.argmax(above[::-1], axis=0), n)
         # Strongly contracting cycles may cross the floor in under two
         # periods; average over as many whole periods as fit (up to two).
-        periods_avail = np.minimum(i2 // STEPS_PER_PERIOD, 2)
-        on_cycle = ~has | (periods_avail == 0)
-        i2 = np.where(on_cycle, n, i2)
-        i1 = i2 - np.where(on_cycle, w, periods_avail * STEPS_PER_PERIOD)
+        i1, i2, periods = _trusted_window(cycle, rho, STEPS_PER_PERIOD)
+        on_cycle = periods == 0
 
         decay = np.exp(-lam * times)[:, None]
         cum_amp = np.concatenate([np.zeros((1, chunk.shape[0])),

@@ -147,59 +147,87 @@ def pair_terms(spec: PairBasisSpec) -> list[PairTerm]:
     return terms
 
 
-def _angular_factors(theta: np.ndarray, k_max: int, constant: bool):
-    """Stack of {1,} cos k*theta, sin k*theta along a new trailing axis."""
-    cols = []
-    if constant:
-        cols.append(np.ones_like(theta))
+def _harmonics(theta: np.ndarray, k_max: int, constant: bool, lead: tuple,
+               grad: bool):
+    """{1,} cos k*theta, sin k*theta along a new trailing axis, and d/dtheta
+    (None unless ``grad``) taken from the same columns."""
+    first = int(constant)
+    val = np.empty(lead + (first + 2 * k_max,))
+    val[..., :first] = 1.0
     for k in range(1, k_max + 1):
-        cols.append(np.cos(k * theta))
-        cols.append(np.sin(k * theta))
-    return np.stack(cols, axis=-1)
+        val[..., first + 2 * k - 2] = np.cos(k * theta)
+        val[..., first + 2 * k - 1] = np.sin(k * theta)
+    if not grad:
+        return val, None
+    k = np.arange(1, k_max + 1)
+    der = np.zeros_like(val)
+    der[..., first::2] = -k * val[..., first + 1::2]
+    der[..., first + 1::2] = k * val[..., first::2]
+    return val, der
 
 
-def _angular_dfactors(theta: np.ndarray, k_max: int, constant: bool):
-    cols = []
-    if constant:
-        cols.append(np.zeros_like(theta))
-    for k in range(1, k_max + 1):
-        cols.append(-k * np.sin(k * theta))
-        cols.append(k * np.cos(k * theta))
-    return np.stack(cols, axis=-1)
+def _monomials(r: np.ndarray, n_max: int, lead: tuple):
+    """r^0 .. r^n_max along a new trailing axis."""
+    val = np.empty(lead + (n_max + 1,))
+    for n in range(n_max + 1):
+        val[..., n] = r ** n
+    return val
 
 
-def _powers(r: np.ndarray, n_max: int):
-    return np.stack([r ** n for n in range(n_max + 1)], axis=-1)
+def _factors(spec, point, grad: bool = False):
+    """Per-axis factor stacks of ``spec`` at ``point``.
+
+    A basis row is the row-major outer product of the returned stacks: radius
+    powers x angular harmonics for a single spec, amplitude pairs x own
+    harmonics x input harmonics for a pair spec.  With ``grad``, the second
+    result lists, for each coordinate (angles first, then radii), the slot of
+    the stack it enters and that stack's derivative; otherwise it is None.
+    """
+    single = isinstance(spec, SingleBasisSpec)
+    if len(point) != (2 if single else 4):
+        raise ArityMismatch("single-oscillator series takes (theta, radius)" if single
+                            else "pairwise series takes (theta_i, r_i, theta_j, r_j)")
+    point = [np.asarray(p, dtype=float) for p in point]
+    lead = np.broadcast_shapes(*(p.shape for p in point))
+    # d(r^n)/dr = n * r^(n-1) is read off the monomial stack itself.
+    if single:
+        pw = _monomials(point[1], spec.n_max, lead)
+        ang, dang = _harmonics(point[0], spec.k_max, True, lead, grad)
+        if not grad:
+            return [pw, ang], None
+        n = np.arange(spec.n_max + 1)
+        return [pw, ang], [(1, dang), (0, n * pw[..., np.maximum(n - 1, 0)])]
+    theta_i, r_i, theta_j, r_j = point
+    own, down = _harmonics(theta_i, spec.ki_max, True, lead, grad)
+    inp, dinp = _harmonics(theta_j, spec.kj_max, False, lead, grad)
+    pw_i = _monomials(r_i, spec.m_max, lead)
+    pw_j = _monomials(r_j, spec.m_max, lead)
+    mi, mj = np.array(spec.amplitude_pairs()).T
+    amp = pw_i[..., mi] * pw_j[..., mj]
+    if not grad:
+        return [amp, own, inp], None
+    damp_i = mi * pw_i[..., np.maximum(mi - 1, 0)] * pw_j[..., mj]
+    damp_j = mj * pw_i[..., mi] * pw_j[..., np.maximum(mj - 1, 0)]
+    return [amp, own, inp], [(1, down), (2, dinp), (0, damp_i), (0, damp_j)]
 
 
-def _dpowers(r: np.ndarray, n_max: int):
-    cols = [np.zeros_like(r)]
-    for n in range(1, n_max + 1):
-        cols.append(n * r ** (n - 1))
-    return np.stack(cols, axis=-1)
+def _outer(stacks) -> np.ndarray:
+    """Row-major outer product of factor stacks over their trailing axis."""
+    row = stacks[0]
+    for f in stacks[1:]:
+        row = (row[..., :, None] * f[..., None, :]).reshape(
+            *f.shape[:-1], row.shape[-1] * f.shape[-1])
+    return row
 
 
 def single_row(spec: SingleBasisSpec, theta, radius) -> np.ndarray:
     """Basis row(s) at (theta, radius); broadcasts over leading axes."""
-    theta = np.asarray(theta, dtype=float)
-    radius = np.asarray(radius, dtype=float)
-    pw = _powers(radius, spec.n_max)                       # (..., n_max+1)
-    ang = _angular_factors(theta, spec.k_max, True)        # (..., 2k+1)
-    return (pw[..., :, None] * ang[..., None, :]).reshape(*pw.shape[:-1], spec.size)
+    return _outer(_factors(spec, (theta, radius))[0])
 
 
 def pair_row(spec: PairBasisSpec, theta_i, r_i, theta_j, r_j) -> np.ndarray:
-    theta_i = np.asarray(theta_i, dtype=float)
-    r_i = np.asarray(r_i, dtype=float)
-    theta_j = np.asarray(theta_j, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    own = _angular_factors(theta_i, spec.ki_max, True)     # (..., n_own)
-    inp = _angular_factors(theta_j, spec.kj_max, False)    # (..., n_inp)
-    pairs = spec.amplitude_pairs()
-    amp = np.stack([r_i ** mi * r_j ** mj for mi, mj in pairs], axis=-1)
-    block = (amp[..., :, None, None] * own[..., None, :, None]
-             * inp[..., None, None, :])
-    return block.reshape(*amp.shape[:-1], spec.size)
+    """Basis row(s) at (theta_i, r_i, theta_j, r_j); broadcasts over leading axes."""
+    return _outer(_factors(spec, (theta_i, r_i, theta_j, r_j))[0])
 
 
 @dataclass(frozen=True)
@@ -234,14 +262,7 @@ class FittedSeries:
 
 
 def series_eval(series: FittedSeries, *point) -> np.ndarray:
-    spec = series.spec
-    if isinstance(spec, SingleBasisSpec):
-        if len(point) != 2:
-            raise ArityMismatch("single-oscillator series takes (theta, radius)")
-        return single_row(spec, *point) @ series.coefficients
-    if len(point) != 4:
-        raise ArityMismatch("pairwise series takes (theta_i, r_i, theta_j, r_j)")
-    return pair_row(spec, *point) @ series.coefficients
+    return _outer(_factors(series.spec, point)[0]) @ series.coefficients
 
 
 def series_eval_grad(series: FittedSeries, *point):
@@ -250,43 +271,11 @@ def series_eval_grad(series: FittedSeries, *point):
     Single series return (value, d/dtheta, d/dradius); pairwise series return
     (value, (d/dtheta_i, d/dtheta_j), (d/dr_i, d/dr_j)).
     """
-    spec = series.spec
+    stacks, derivs = _factors(series.spec, point, grad=True)
     q = series.coefficients
-    if isinstance(spec, SingleBasisSpec):
-        if len(point) != 2:
-            raise ArityMismatch("single-oscillator series takes (theta, radius)")
-        theta = np.asarray(point[0], dtype=float)
-        radius = np.asarray(point[1], dtype=float)
-        pw = _powers(radius, spec.n_max)
-        dpw = _dpowers(radius, spec.n_max)
-        ang = _angular_factors(theta, spec.k_max, True)
-        dang = _angular_dfactors(theta, spec.k_max, True)
-
-        def contract(p, a):
-            return (p[..., :, None] * a[..., None, :]).reshape(*p.shape[:-1], spec.size) @ q
-
-        return contract(pw, ang), contract(pw, dang), contract(dpw, ang)
-    if len(point) != 4:
-        raise ArityMismatch("pairwise series takes (theta_i, r_i, theta_j, r_j)")
-    ti, ri, tj, rj = (np.asarray(p, dtype=float) for p in point)
-    own = _angular_factors(ti, spec.ki_max, True)
-    down = _angular_dfactors(ti, spec.ki_max, True)
-    inp = _angular_factors(tj, spec.kj_max, False)
-    dinp = _angular_dfactors(tj, spec.kj_max, False)
-    pairs = spec.amplitude_pairs()
-    amp = np.stack([ri ** mi * rj ** mj for mi, mj in pairs], axis=-1)
-    damp_i = np.stack([mi * ri ** max(mi - 1, 0) * rj ** mj if mi else np.zeros_like(ri)
-                       for mi, mj in pairs], axis=-1)
-    damp_j = np.stack([mj * ri ** mi * rj ** max(mj - 1, 0) if mj else np.zeros_like(rj)
-                       for mi, mj in pairs], axis=-1)
-
-    def contract(a, o, p):
-        block = a[..., :, None, None] * o[..., None, :, None] * p[..., None, None, :]
-        return block.reshape(*a.shape[:-1], spec.size) @ q
-
-    value = contract(amp, own, inp)
-    dti = contract(amp, down, inp)
-    dtj = contract(amp, own, dinp)
-    dri = contract(damp_i, own, inp)
-    drj = contract(damp_j, own, inp)
-    return value, (dti, dtj), (dri, drj)
+    value = _outer(stacks) @ q
+    grads = [_outer(stacks[:slot] + [d] + stacks[slot + 1:]) @ q
+             for slot, d in derivs]
+    if isinstance(series.spec, SingleBasisSpec):
+        return (value, *grads)
+    return value, tuple(grads[:2]), tuple(grads[2:])

@@ -46,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(uses its config.json)")
         p.add_argument("--out", help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker count (stages are vectorized; accepted "
-                            "for interface stability)")
 
     for name in list(STAGES) + ["pipeline"]:
         add_common(sub.add_parser(name))

@@ -73,10 +73,6 @@ class EmptyRadiusData(PharecError):
     """No radius statistics available to build an evaluation grid."""
 
 
-class DomainEscape(PharecError):
-    """Point falls outside the fitted transform domain."""
-
-
 class UnknownPair(PharecError):
     """Requested an oscillator pair that was not fitted."""
 

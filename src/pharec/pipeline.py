@@ -20,7 +20,7 @@ from .basis import PairBasisSpec, SingleBasisSpec
 from .errors import InvalidConfig, NoAnalyticForm
 from .limit_cycle import LimitCycle, find_limit_cycle, floquet_from_monodromy
 from .ode import integrate
-from .transforms import TransformSet
+from .transforms import TransformSet, _wrap
 
 __all__ = [
     "PipelineConfig",
@@ -106,6 +106,15 @@ class PipelineConfig:
             raise InvalidConfig("grid_points", "must be at least 10")
         if not (0 < self.radial_span[0] < self.radial_span[1]):
             raise InvalidConfig("radial_span", "need 0 < lo < hi")
+        for key in ("ic_angles", "ic_radii", "row_budget"):
+            if getattr(self, key) < 1:
+                raise InvalidConfig(key, "must be at least 1")
+        for key in ("single_orders", "transform_orders", "pair_orders",
+                    "reduced_orders"):
+            try:
+                getattr(self, key.replace("_orders", "_spec"))
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(key, str(exc)) from exc
         try:
             models.ModelSpec.from_dict(self.model)
         except Exception as exc:
@@ -296,10 +305,6 @@ def stage_reduce(config: PipelineConfig) -> dict:
     serialize.write_json(os.path.join(heat_dir, "manifest.json"),
                          manifest, "heatmaps")
     return doc
-
-
-def _wrap(x):
-    return -(np.mod(np.pi - np.asarray(x, dtype=float), 2.0 * np.pi) - np.pi)
 
 
 def _row(name: str, value: float, bound: float, lower_is_pass: bool = True) -> dict:

@@ -26,7 +26,7 @@ class RidgeFit:
     coefficients: np.ndarray
     kappa: float
     gcv_value: float
-    effective_dof: float
+    residual_dof: float          # tau = N - sum rho^2/(rho^2 + kappa)
     singular_values: np.ndarray
     residual_norm: float
 
@@ -43,17 +43,23 @@ class SvdContext:
     n_cols: int
 
 
-def svd_context(design: np.ndarray, targets: np.ndarray) -> SvdContext:
+def _svd_contexts(design, targets, targets_ndim: int) -> list[SvdContext]:
+    """One SVD of ``design``, projected onto each target column."""
     design = np.asarray(design, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if design.ndim != 2 or targets.ndim != 1:
-        raise ShapeMismatch("design must be 2-d and targets 1-d")
+    if design.ndim != 2 or targets.ndim != targets_ndim:
+        raise ShapeMismatch(f"design must be 2-d and targets {targets_ndim}-d")
     if design.shape[0] != targets.shape[0]:
         raise ShapeMismatch("design rows must match target length")
     u, s, vt = np.linalg.svd(design, full_matrices=False)
-    return SvdContext(u_t_y=u.T @ targets, s=s, vt=vt,
-                      y_norm_sq=float(targets @ targets),
-                      n_rows=design.shape[0], n_cols=design.shape[1])
+    columns = [targets] if targets_ndim == 1 else targets.T
+    return [SvdContext(u_t_y=u.T @ y, s=s, vt=vt, y_norm_sq=float(y @ y),
+                       n_rows=design.shape[0], n_cols=design.shape[1])
+            for y in columns]
+
+
+def svd_context(design: np.ndarray, targets: np.ndarray) -> SvdContext:
+    return _svd_contexts(design, targets, 1)[0]
 
 
 def _solve(ctx: SvdContext, kappa: float):
@@ -157,15 +163,5 @@ def ridge_fit_multi(design: np.ndarray, targets: np.ndarray,
                     kappa: float | None = None,
                     kappa_grid: np.ndarray | None = None) -> list[RidgeFit]:
     """Fit several target columns against one design, reusing a single SVD."""
-    design = np.asarray(design, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if design.ndim != 2 or targets.ndim != 2 or design.shape[0] != targets.shape[0]:
-        raise ShapeMismatch("design must be (N, M) and targets (N, K)")
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    fits = []
-    for col in range(targets.shape[1]):
-        y = targets[:, col]
-        ctx = SvdContext(u_t_y=u.T @ y, s=s, vt=vt, y_norm_sq=float(y @ y),
-                         n_rows=design.shape[0], n_cols=design.shape[1])
-        fits.append(_fit_from_ctx(ctx, kappa, kappa_grid))
-    return fits
+    return [_fit_from_ctx(ctx, kappa, kappa_grid)
+            for ctx in _svd_contexts(design, targets, 2)]

@@ -206,12 +206,12 @@ def fit_network_vf(trial_set: TrialSet, single_spec: SingleBasisSpec,
     n_osc = th.shape[1]
     uncoupled, coupling, diagnostics = {}, {}, {}
     for i in range(n_osc):
-        blocks = [single_row(single_spec, th[:, i], r[:, i])]
         others = [j for j in range(n_osc) if j != i]
-        for j in others:
-            blocks.append(pair_row(pair_spec, th[:, i], r[:, i],
-                                   th[:, j], r[:, j]))
-        design = np.concatenate(blocks, axis=1)
+        # One expression, so no list keeps the row blocks alive through the SVD.
+        design = np.concatenate(
+            [single_row(single_spec, th[:, i], r[:, i])]
+            + [pair_row(pair_spec, th[:, i], r[:, i], th[:, j], r[:, j])
+               for j in others], axis=1)
         targets = np.stack([dth[:, i], dr[:, i]], axis=1)
         fits = ridge_fit_multi(design, targets)
         for comp, fit in zip(COMPONENTS, fits):

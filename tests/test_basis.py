@@ -19,6 +19,11 @@ def manual_pair_value(term, ti, ri, tj, rj):
     return ri ** term.mi * rj ** term.mj * own * inp
 
 
+def flat(outputs):
+    """series_eval_grad outputs as one flat list of arrays."""
+    return [a for out in outputs for a in (out if isinstance(out, tuple) else (out,))]
+
+
 def test_single_size_and_enumeration():
     spec = basis.SingleBasisSpec(4, 5)
     assert spec.size == 5 * 11
@@ -66,6 +71,20 @@ def test_rows_broadcast_over_leading_axes():
     assert rows.shape == (3, 4, spec.size)
     np.testing.assert_allclose(rows[1, 2],
                                basis.single_row(spec, theta[1, 2], r[1, 2]))
+    rng = np.random.default_rng(2)
+    for spec, grid in ((spec, (theta, r)),
+                       (basis.PairBasisSpec(2, 1, 2, "observable"),
+                        (theta, r, theta[::-1], r[:, ::-1]))):
+        series = basis.FittedSeries(spec, rng.normal(size=spec.size))
+        value = basis.series_eval(series, *grid)
+        grads = basis.series_eval_grad(series, *grid)
+        assert value.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            pt = [g[idx] for g in grid]
+            assert value[idx] == pytest.approx(basis.series_eval(series, *pt))
+            for got, want in zip(flat(grads), flat(basis.series_eval_grad(series, *pt))):
+                assert got.shape == (3, 4)
+                assert got[idx] == pytest.approx(want)
 
 
 def test_series_eval_and_gradients_single():

@@ -21,10 +21,10 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
 def test_invalid_config_value_is_usage_error(tmp_path):
     from pharec import pipeline, serialize
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
-    doc["n_trials"] = 0
     path = str(tmp_path / "cfg.json")
-    serialize.write_json(path, doc, "config")
-    assert cli.main(["simulate", "--config", path]) == cli.EXIT_USAGE
+    for key, value in (("n_trials", 0), ("pair_orders", [3, 2, 0])):
+        serialize.write_json(path, dict(doc, **{key: value}), "config")
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_USAGE
 
 
 def test_extract_subcommand(tmp_path):

@@ -24,7 +24,10 @@ def test_config_round_trip():
 def test_invalid_values_rejected():
     base = pipeline.default_config("canonical", "/tmp/x").to_dict()
     for key, value in (("n_trials", 0), ("trial_periods", -1.0),
-                       ("grid_points", 3), ("radial_span", (1.4, 0.7))):
+                       ("grid_points", 3), ("radial_span", (1.4, 0.7)),
+                       ("ic_angles", 0), ("ic_radii", 0), ("row_budget", 0),
+                       ("single_orders", (-1, 5)), ("transform_orders", (4,)),
+                       ("pair_orders", (3, 2, 0)), ("reduced_orders", (2, -1, 2))):
         bad = dict(base)
         bad[key] = value
         with pytest.raises(InvalidConfig):

@@ -26,7 +26,6 @@ __all__ = [
     "ReducedSample",
     "observable_deviation",
     "refine_lambda",
-    "reduced_coordinates",
     "reduced_coordinates_batch",
 ]
 
@@ -34,6 +33,8 @@ FLOOR_ABS = 1e-12
 # Profile-fit residual enters the floor: below it, rho measures series
 # truncation of gamma rather than transverse decay.
 FLOOR_GAMMA_FACTOR = 10.0
+# Initial conditions integrated per lockstep batch.
+CHUNK_SIZE = 160
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class ReducedSample:
     r0: float
     phi0: float                  # in [0, 2*pi)
     sigma0: float                # scaled amplitude (leading radial response absorbed)
-    lambda_used: float
 
 
 def _precision_floor(cycle: LimitCycle, rho0):
@@ -124,9 +124,7 @@ def _window_means(cum: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray
             - np.take_along_axis(cum, i1[None, :], axis=0))[0] / counts
 
 
-def reduced_coordinates_batch(vf, cycle: LimitCycle, ics,
-                              lam: float | None = None,
-                              chunk_size: int = 160) -> list[ReducedSample]:
+def reduced_coordinates_batch(vf, cycle: LimitCycle, ics) -> list[ReducedSample]:
     """Reduced coordinates for a batch of observable initial conditions.
 
     ``ics`` has shape (B, 2) with rows (theta0, r0).  All initial conditions
@@ -134,8 +132,7 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics,
     decays to the precision floor.
     """
     ics = np.atleast_2d(np.asarray(ics, dtype=float))
-    if lam is None:
-        lam = cycle.lam
+    lam = cycle.lam
     if lam is None or lam >= 0:
         raise ValueError("need a negative Floquet exponent")
     step = cycle.step
@@ -155,8 +152,8 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics,
     cum_ref = np.concatenate([[0.0 + 0.0j], np.cumsum(z_ref)])
 
     out: list[ReducedSample] = []
-    for lo in range(0, ics.shape[0], chunk_size):
-        chunk = ics[lo:lo + chunk_size]
+    for lo in range(0, ics.shape[0], CHUNK_SIZE):
+        chunk = ics[lo:lo + CHUNK_SIZE]
         traj = ode.integrate(vf, chunk, n * step, step)
         theta = traj.states[..., 0]
         r = traj.states[..., 1]
@@ -178,17 +175,10 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics,
         sig = _window_means(cum_amp, i1, i2)
         sig = np.where(on_cycle, 0.0, sig * np.sign(rho[0]))
         z_mean = _window_means(cum_z, i1, i2)
-        zr = (np.take_along_axis(cum_ref[:, None], (i2 + 1)[None, :], axis=0)
-              - np.take_along_axis(cum_ref[:, None], i1[None, :], axis=0))[0] / (i2 - i1 + 1)
+        zr = _window_means(cum_ref[:, None], i1, i2)
         phi0 = np.mod(np.angle(z_mean) - np.angle(zr), 2.0 * np.pi)
         for b in range(chunk.shape[0]):
             out.append(ReducedSample(theta0=float(chunk[b, 0]), r0=float(chunk[b, 1]),
-                                     phi0=float(phi0[b]), sigma0=float(sig[b]),
-                                     lambda_used=float(lam)))
+                                     phi0=float(phi0[b]), sigma0=float(sig[b])))
     return out
 
-
-def reduced_coordinates(vf, cycle: LimitCycle, lam: float,
-                        theta0: float, r0: float) -> ReducedSample:
-    """Reduced coordinates of a single observable initial condition."""
-    return reduced_coordinates_batch(vf, cycle, np.array([[theta0, r0]]), lam)[0]

@@ -76,17 +76,11 @@ def load_config(args) -> pipeline.PipelineConfig:
 
 
 def run_extract(args) -> int:
-    try:
-        data = np.loadtxt(args.input, delimiter=",", skiprows=1)
-    except OSError as exc:
-        raise IoError(f"cannot read {args.input}: {exc}") from exc
+    data = serialize.read_rows(args.input)
     signal = signal_extract.RawSignal(times=data[:, 0], values=data[:, 1])
     theta, r, edge = signal_extract.extract_phase_amplitude(signal)
-    with open(args.out, "w") as fh:
-        fh.write("t,theta,r,edge\n")
-        for k in range(theta.shape[0]):
-            fh.write(f"{data[k, 0]:.17g},{theta[k]:.17g},{r[k]:.17g},"
-                     f"{int(edge[k])}\n")
+    serialize.write_rows(args.out, np.stack([data[:, 0], theta, r, edge], axis=1),
+                         ["t", "theta", "r", "edge"])
     return EXIT_PASS
 
 
@@ -99,6 +93,8 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             report = pipeline.run_pipeline(config)
             return EXIT_PASS if report["pass"] else EXIT_TOLERANCE
+        if args.seed is not None or args.out:
+            pipeline.write_config(config)
         result = STAGES[args.command](config)
         if args.command == "compare":
             return EXIT_PASS if result["pass"] else EXIT_TOLERANCE

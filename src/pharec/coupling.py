@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import FittedSeries, PairBasisSpec, pair_row, pair_terms, spec_from_dict
+from .basis import FittedSeries, PairBasisSpec, pair_row, spec_from_dict
 from .errors import EmptyRadiusData, InsufficientSamples, UnknownPair
 from .ridge import ridge_fit
 from .transforms import TransformSet
@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 EQUATIONS = ("phi", "sigma")
-DEFAULT_GRID_POINTS = 4000
 SIGMA_MARGIN = 0.1            # relative widening of the trusted sigma range
 
 
@@ -151,9 +150,8 @@ class ReducedCoupling:
 
 def reduce_network_coupling(nvf: NetworkVF, transform_sets: list[TransformSet],
                             radius_stats, omega: list[float], lam: list[float],
-                            reduced_spec: PairBasisSpec,
-                            count: int = DEFAULT_GRID_POINTS,
-                            seed: int = 0) -> ReducedCoupling:
+                            reduced_spec: PairBasisSpec, count: int,
+                            seed: int) -> ReducedCoupling:
     """Fit the reduced coupling tensor for every ordered oscillator pair."""
     angles, radii, fallback = sample_evaluation_grid(radius_stats, count, seed)
     series, diagnostics = {}, {}

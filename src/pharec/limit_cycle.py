@@ -92,8 +92,7 @@ def _rough_period(vf, state) -> tuple[float, np.ndarray]:
     raise NoConvergence("could not estimate a rotation period")
 
 
-def find_limit_cycle(vf, seed_state, settle_periods_hint: int = 5,
-                     n_gamma: int = DEFAULT_N_G) -> LimitCycle:
+def find_limit_cycle(vf, seed_state, n_gamma: int = DEFAULT_N_G) -> LimitCycle:
     """Locate the attracting cycle of a polar vector field.
 
     Integrates from ``seed_state`` until successive Poincare-section returns

@@ -148,13 +148,7 @@ def wc_equilibrium(spec: ModelSpec, i: int) -> tuple[float, float]:
         return np.array([-x + sigmoid(rx + a * x - b * y),
                          -y + sigmoid(ry + c * x - d * y)])
 
-    def jac(p):
-        x, y = p
-        su = sigmoid(rx + a * x - b * y)
-        sv = sigmoid(ry + c * x - d * y)
-        du, dv = su * (1 - su), sv * (1 - sv)
-        return np.array([[-1 + a * du, -b * du], [c * dv, -1 - d * dv]])
-
+    jac = uncoupled_jacobian(spec, i)
     p = np.array([0.5, 0.5])
     for _ in range(200):
         f = resid(p)
@@ -338,19 +332,17 @@ def _settle_seed(spec: ModelSpec, i: int) -> np.ndarray:
     return np.array([0.0, 1.2])
 
 
-def estimate_frame(spec: ModelSpec, i: int, settle_time: float = 200.0,
-                   step: float = 0.005) -> ObservableFrame:
+def estimate_frame(spec: ModelSpec, i: int) -> ObservableFrame:
     """Observable frame for oscillator ``i``: cycle centroid and rotation sense.
 
     Polar kinds use the identity frame; Cartesian kinds settle the uncoupled
-    oscillator onto its cycle and center polar coordinates at the centroid of
-    an integer number of revolutions.
+    oscillator onto its cycle (200 time units at step 0.005) and center polar
+    coordinates at the centroid of an integer number of revolutions.
     """
     if spec.kind in _POLAR_KINDS:
         return ObservableFrame()
     vf = uncoupled_vf(spec, i)
-    traj = ode.integrate(vf, _settle_seed(spec, i), settle_time, step,
-                         coords="cartesian")
+    traj = ode.integrate(vf, _settle_seed(spec, i), 200.0, 0.005)
     tail = traj.states[traj.states.shape[0] // 2:]
     center = tail.mean(axis=0)
     rel = tail - center
@@ -394,15 +386,16 @@ def polar_uncoupled_vf(spec: ModelSpec, i: int, frame: ObservableFrame | None = 
 
 
 def polar_uncoupled_jacobian(spec: ModelSpec, i: int,
-                             frame: ObservableFrame | None = None, h: float = 1e-6):
+                             frame: ObservableFrame | None = None):
     """Jacobian of the polar uncoupled vector field.
 
-    Analytic for natively polar kinds; central finite differences of the
-    converted field otherwise.
+    Analytic for natively polar kinds; central finite differences (step 1e-6)
+    of the converted field otherwise.
     """
     if spec.kind in _POLAR_KINDS:
         return uncoupled_jacobian(spec, i)
     vf = polar_uncoupled_vf(spec, i, frame)
+    h = 1e-6
 
     def jac(state):
         state = np.asarray(state, dtype=float)
@@ -449,12 +442,6 @@ class AnalyticGroundTruth:
 
     def k_r(self, phi, sigma):
         return self._k_r(np.asarray(phi, dtype=float), np.asarray(sigma, dtype=float))
-
-    def k_theta_scaled(self, phi, sigma_scaled):
-        return self.k_theta(phi, np.asarray(sigma_scaled, dtype=float) / self.sigma_scale)
-
-    def k_r_scaled(self, phi, sigma_scaled):
-        return self.k_r(phi, np.asarray(sigma_scaled, dtype=float) / self.sigma_scale)
 
 
 def analytic_ground_truth(spec: ModelSpec, i: int) -> AnalyticGroundTruth:

@@ -24,33 +24,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Densely sampled solution of a planar ODE.
+    """Densely sampled solution of an ODE.
 
-    ``states`` has shape ``(n_times, ..., 2)``; the trailing axis is either
-    ``(theta, r)`` or ``(x, y)`` depending on ``coords``.
+    ``states`` has shape ``(n_times, ..., d)``, sampled at ``times``.
     """
 
     times: np.ndarray
     states: np.ndarray
     step_size: float
-    coords: str = "polar"
 
     def __post_init__(self):
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("states length must equal times length")
-        if self.coords not in ("polar", "cartesian"):
-            raise ValueError(f"unknown coordinate tag {self.coords!r}")
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def validate(self):
-        dt = np.diff(self.times)
-        if not np.allclose(dt, self.step_size, rtol=1e-12, atol=0.0):
-            raise ValueError("times are not uniformly spaced at step_size")
-        if self.coords == "polar" and np.any(self.states[..., 1] <= 0):
-            raise ValueError("polar trajectory has non-positive radius")
 
 
 @dataclass(frozen=True)
@@ -82,7 +71,7 @@ def _n_steps(duration: float, step: float) -> int:
     return int(round(duration / step))
 
 
-def integrate(vf, state0, duration: float, step: float, coords: str = "polar") -> Trajectory:
+def integrate(vf, state0, duration: float, step: float) -> Trajectory:
     """Integrate ``vf`` from ``state0`` with fixed-step RK4.
 
     Samples at t = 0, step, ..., n*step with n = round(duration/step).
@@ -99,35 +88,25 @@ def integrate(vf, state0, duration: float, step: float, coords: str = "polar") -
         if not np.all(np.isfinite(state)):
             raise NonFiniteState(f"non-finite state at t={(i + 1) * step}")
     times = np.arange(n + 1) * step
-    return Trajectory(times=times, states=out, step_size=step, coords=coords)
+    return Trajectory(times=times, states=out, step_size=step)
 
 
-def integrate_with_tangent(vf, jacobian, state0, duration: float, step: float,
-                           coords: str = "polar") -> TangentTrajectory:
-    """Integrate the flow together with dM/dt = DF(x(t)) M, M(0) = I."""
+def integrate_with_tangent(vf, jacobian, state0, duration: float,
+                           step: float) -> TangentTrajectory:
+    """Integrate the flow together with dM/dt = DF(x(t)) M, M(0) = I.
+
+    The augmented state (x, M) runs through ``integrate``.
+    """
     state0 = np.asarray(state0, dtype=float)
     if state0.shape != (2,):
         raise ValueError("tangent integration expects a single planar state")
-    n = _n_steps(duration, step)
 
     def aug_vf(aug):
         x = aug[:2]
-        m = aug[2:].reshape(2, 2)
-        dx = vf(x)
-        dm = jacobian(x) @ m
-        return np.concatenate([dx, dm.ravel()])
+        dm = jacobian(x) @ aug[2:].reshape(2, 2)
+        return np.concatenate([vf(x), dm.ravel()])
 
-    aug = np.concatenate([state0, np.eye(2).ravel()])
-    states = np.empty((n + 1, 2))
-    tangents = np.empty((n + 1, 2, 2))
-    states[0] = state0
-    tangents[0] = np.eye(2)
-    for i in range(n):
-        aug = rk4_step(aug_vf, aug, step)
-        if not np.all(np.isfinite(aug)):
-            raise NonFiniteState(f"non-finite state at t={(i + 1) * step}")
-        states[i + 1] = aug[:2]
-        tangents[i + 1] = aug[2:].reshape(2, 2)
-    times = np.arange(n + 1) * step
-    base = Trajectory(times=times, states=states, step_size=step, coords=coords)
-    return TangentTrajectory(base=base, tangent=tangents)
+    aug = integrate(aug_vf, np.concatenate([state0, np.eye(2).ravel()]),
+                    duration, step)
+    base = Trajectory(times=aug.times, states=aug.states[:, :2], step_size=step)
+    return TangentTrajectory(base=base, tangent=aug.states[:, 2:].reshape(-1, 2, 2))

@@ -31,6 +31,7 @@ __all__ = [
     "stage_vf",
     "stage_reduce",
     "stage_compare",
+    "write_config",
     "run_pipeline",
 ]
 
@@ -183,13 +184,10 @@ def default_config(kind: str, out_dir: str, seed: int = 0) -> PipelineConfig:
 
 
 def _oscillator_fields(config: PipelineConfig, frames):
-    """Per-oscillator polar vector fields and Jacobians of the uncoupled model."""
+    """Per-oscillator polar vector fields of the uncoupled model."""
     spec = config.model_spec
-    vfs, jacs = [], []
-    for i in range(spec.n_oscillators):
-        vfs.append(models.polar_uncoupled_vf(spec, i, frames[i]))
-        jacs.append(models.polar_uncoupled_jacobian(spec, i, frames[i]))
-    return vfs, jacs
+    return [models.polar_uncoupled_vf(spec, i, frames[i])
+            for i in range(spec.n_oscillators)]
 
 
 def _load_cycles(art_dir: str):
@@ -224,7 +222,7 @@ def stage_limit_cycle(config: PipelineConfig) -> dict:
 def stage_transforms(config: PipelineConfig) -> dict:
     """Reduced-coordinate sampling and transform fits, one set per oscillator."""
     frames, cycles, _ = _load_cycles(config.out_dir)
-    vfs, _ = _oscillator_fields(config, frames)
+    vfs = _oscillator_fields(config, frames)
     oscillators = []
     for i, cycle in enumerate(cycles):
         ics = transforms.generate_ic_grid(cycle, config.ic_angles, config.ic_radii,
@@ -322,7 +320,7 @@ def stage_compare(config: PipelineConfig) -> dict:
     spec = config.model_spec
     tol = config.tolerances
     frames, cycles, _ = _load_cycles(config.out_dir)
-    vfs, _ = _oscillator_fields(config, frames)
+    vfs = _oscillator_fields(config, frames)
     tr_doc = serialize.read_json(os.path.join(config.out_dir, "transforms.json"),
                                  "transforms")
     tsets = [TransformSet.from_dict(o["transforms"]) for o in tr_doc["oscillators"]]
@@ -410,7 +408,9 @@ def stage_compare(config: PipelineConfig) -> dict:
 
     # Fitted uncoupled field against the model's own uncoupled field at
     # observed data points (first trial, decimated).
-    trial = serialize.read_trial_set(os.path.join(config.out_dir, "trials")).trials[0]
+    trials_dir = os.path.join(config.out_dir, "trials")
+    manifest = serialize.read_json(os.path.join(trials_dir, "manifest.json"), "trials")
+    trial = serialize.read_trial_csv(os.path.join(trials_dir, manifest["files"][0]))
     for i in range(spec.n_oscillators):
         th_d, r_d = trial.theta[::10, i], trial.r[::10, i]
         fitted = vf_reconstruction.eval_uncoupled(nvf, i, th_d, r_d)
@@ -435,16 +435,13 @@ def stage_compare(config: PipelineConfig) -> dict:
             for j in range(spec.n_oscillators):
                 if i == j or eps[i, j] == 0:
                     continue
-                fs = rc.series[(i, j, "phi")]
-                pairs = rc.spec.amplitude_pairs()
-                n_own, n_inp = rc.spec.n_own, rc.spec.n_inp
-                blocks = fs.coefficients.reshape(len(pairs), n_own, n_inp)
-                n_mi = max(mi for mi, _ in pairs) + 1
-                n_mj = max(mj for _, mj in pairs) + 1
-                mat = np.zeros((n_mi * n_own, n_mj * n_inp))
-                for (mi, mj), block in zip(pairs, blocks):
-                    mat[mi * n_own:(mi + 1) * n_own,
-                        mj * n_inp:(mj + 1) * n_inp] = block
+                # Panels tiled by (sigma_i power, sigma_j power); absent
+                # amplitude pairs are zero blocks.
+                panels = coupling.heatmap_layout(rc, i, j, "phi")["panels"]
+                zero = np.zeros_like(panels[(0, 0)])
+                mat = np.block([[panels.get((mi, mj), zero)
+                                 for mj in range(max(p[1] for p in panels) + 1)]
+                                for mi in range(max(p[0] for p in panels) + 1)])
                 sv = np.linalg.svd(mat, compute_uv=False)
                 rows.append(_row(f"factorization_{i}<-{j}",
                                  float(sv[0] ** 2 / np.sum(sv ** 2)),
@@ -504,11 +501,16 @@ def stage_compare(config: PipelineConfig) -> dict:
     return report
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Execute every stage in order and return the comparison report."""
+def write_config(config: PipelineConfig):
+    """Record the effective configuration as config.json in the output directory."""
     os.makedirs(config.out_dir, exist_ok=True)
     serialize.write_json(os.path.join(config.out_dir, "config.json"),
                          config.to_dict(), "config")
+
+
+def run_pipeline(config: PipelineConfig) -> dict:
+    """Execute every stage in order and return the comparison report."""
+    write_config(config)
     timings = {}
     for name, stage in (("limit_cycle", stage_limit_cycle),
                         ("transforms", stage_transforms),

@@ -19,6 +19,8 @@ from .vf_reconstruction import Trial, TrialSet
 __all__ = [
     "write_json",
     "read_json",
+    "write_rows",
+    "read_rows",
     "write_trial_csv",
     "read_trial_csv",
     "write_trial_set",
@@ -52,32 +54,38 @@ def read_json(path: str, schema: str) -> dict:
     return doc
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def write_trial_csv(path: str, trial: Trial):
-    n_osc = trial.n_oscillators
-    header = ["t"]
-    for i in range(n_osc):
-        header += [f"theta_{i + 1}", f"r_{i + 1}"]
+def write_rows(path: str, rows, header: list[str] | None = None):
+    """Write a 2-d array as CSV, each value as ``%.17g``, under an optional
+    header line of column names."""
     try:
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for k in range(trial.times.shape[0]):
-                row = [_fmt(trial.times[k])]
-                for i in range(n_osc):
-                    row += [_fmt(trial.theta[k, i]), _fmt(trial.r[k, i])]
-                fh.write(",".join(row) + "\n")
+        np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g",
+                   delimiter=",", comments="",
+                   header="" if header is None else ",".join(header))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_trial_csv(path: str) -> Trial:
+def read_rows(path: str) -> np.ndarray:
+    """Numeric rows of a CSV file whose first line is a header."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except OSError as exc:
+        return np.loadtxt(path, delimiter=",", skiprows=1)
+    except (OSError, ValueError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_trial_csv(path: str, trial: Trial):
+    n_osc = trial.n_oscillators
+    rows = np.empty((trial.times.shape[0], 1 + 2 * n_osc))
+    rows[:, 0] = trial.times
+    rows[:, 1::2] = trial.theta
+    rows[:, 2::2] = trial.r
+    header = ["t"] + [f"{name}_{i + 1}" for i in range(n_osc)
+                      for name in ("theta", "r")]
+    write_rows(path, rows, header)
+
+
+def read_trial_csv(path: str) -> Trial:
+    data = read_rows(path)
     if data.ndim != 2 or (data.shape[1] - 1) % 2 != 0:
         raise IoError(f"{path}: malformed trial file")
     n_osc = (data.shape[1] - 1) // 2
@@ -108,9 +116,4 @@ def read_trial_set(out_dir: str) -> TrialSet:
 
 
 def write_heatmap_csv(path: str, matrix: np.ndarray):
-    try:
-        with open(path, "w") as fh:
-            for row in matrix:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_rows(path, matrix)

@@ -21,8 +21,6 @@ from .ridge import ridge_fit
 __all__ = [
     "TransformSet",
     "generate_ic_grid",
-    "fit_inverse_transform",
-    "fit_forward_transform",
     "fit_transform_set",
 ]
 
@@ -86,8 +84,8 @@ class TransformSet:
         )
 
 
-def generate_ic_grid(cycle: LimitCycle, n_angles: int = 21, n_radii: int = 15,
-                     radial_span: tuple[float, float] = (0.75, 1.35)) -> np.ndarray:
+def generate_ic_grid(cycle: LimitCycle, n_angles: int, n_radii: int,
+                     radial_span: tuple[float, float]) -> np.ndarray:
     """Observable initial conditions on an angle x relative-radius grid.
 
     Radii scale the cycle profile: r = u * gamma(theta) for u in the span, so
@@ -114,45 +112,24 @@ def _check_samples(n_samples: int, angles: np.ndarray, spec: SingleBasisSpec):
         raise InsufficientSamples("samples cover less than 0.9 of the circle")
 
 
-def fit_inverse_transform(samples: list[ReducedSample], spec: SingleBasisSpec):
-    """Fit Phi - theta and Sigma against the observable coordinates.
-
-    Returns (inverse_phase, inverse_amplitude, r_domain, sigma_domain).
-    """
+def fit_transform_set(samples: list[ReducedSample], spec: SingleBasisSpec) -> TransformSet:
+    """Fit the inverse maps over (theta, r) and the forward maps over
+    (phi, sigma) from matched samples."""
     th = np.array([s.theta0 for s in samples])
     r = np.array([s.r0 for s in samples])
     phi = np.array([s.phi0 for s in samples])
     sig = np.array([s.sigma0 for s in samples])
     _check_samples(len(samples), th, spec)
-    design = single_row(spec, th, r)
-    phase_fit = ridge_fit(design, _wrap(phi - th))
-    amp_fit = ridge_fit(design, sig)
-    return (FittedSeries(spec, phase_fit.coefficients),
-            FittedSeries(spec, amp_fit.coefficients),
-            (float(r.min()), float(r.max())),
-            (float(sig.min()), float(sig.max())))
-
-
-def fit_forward_transform(samples: list[ReducedSample], spec: SingleBasisSpec):
-    """Fit K_theta - phi and K_r against the reduced coordinates.
-
-    Returns (forward_angle, forward_radius).
-    """
-    th = np.array([s.theta0 for s in samples])
-    r = np.array([s.r0 for s in samples])
-    phi = np.array([s.phi0 for s in samples])
-    sig = np.array([s.sigma0 for s in samples])
     _check_samples(len(samples), phi, spec)
-    design = single_row(spec, phi, sig)
-    angle_fit = ridge_fit(design, _wrap(th - phi))
-    radius_fit = ridge_fit(design, r)
-    return (FittedSeries(spec, angle_fit.coefficients),
-            FittedSeries(spec, radius_fit.coefficients))
+    inverse = single_row(spec, th, r)
+    forward = single_row(spec, phi, sig)
 
+    def series(design, target):
+        return FittedSeries(spec, ridge_fit(design, target).coefficients)
 
-def fit_transform_set(samples: list[ReducedSample], spec: SingleBasisSpec) -> TransformSet:
-    inv_phase, inv_amp, r_dom, sig_dom = fit_inverse_transform(samples, spec)
-    fwd_angle, fwd_radius = fit_forward_transform(samples, spec)
-    return TransformSet(inverse_phase=inv_phase, inverse_amplitude=inv_amp,
-                        forward_angle=fwd_angle, forward_radius=fwd_radius,
-                        r_domain=r_dom, sigma_domain=sig_dom)
+    return TransformSet(inverse_phase=series(inverse, _wrap(phi - th)),
+                        inverse_amplitude=series(inverse, sig),
+                        forward_angle=series(forward, _wrap(th - phi)),
+                        forward_radius=series(forward, r),
+                        r_domain=(float(r.min()), float(r.max())),
+                        sigma_domain=(float(sig.min()), float(sig.max())))

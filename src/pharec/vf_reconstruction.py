@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 COMPONENTS = ("theta", "r")
-ROW_BUDGET = 60000
 TRIM = 2                      # samples dropped at each end after differencing
 
 
@@ -86,10 +85,9 @@ def differentiate_trial(trial: Trial) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_trial_set(spec: models.ModelSpec, cycles: list[LimitCycle],
-                       frames: list[models.ObservableFrame] | None = None,
-                       n_trials: int = 100, periods: float = 6.0,
-                       seed: int = 0,
-                       radial_span: tuple[float, float] = (0.75, 1.35)) -> TrialSet:
+                       frames: list[models.ObservableFrame], n_trials: int,
+                       periods: float, seed: int,
+                       radial_span: tuple[float, float]) -> TrialSet:
     """Simulate coupled-network trials from random initial conditions.
 
     Initial angles are uniform on the circle; initial radii scale the cycle
@@ -99,8 +97,6 @@ def simulate_trial_set(spec: models.ModelSpec, cycles: list[LimitCycle],
     n_osc = spec.n_oscillators
     rng = np.random.default_rng(seed)
     native = models.native_coords(spec.kind)
-    if frames is None:
-        frames = [models.ObservableFrame() for _ in range(n_osc)]
     th0 = rng.uniform(0.0, 2.0 * np.pi, size=(n_trials, n_osc))
     u0 = rng.uniform(radial_span[0], radial_span[1], size=(n_trials, n_osc))
     r0 = np.stack([u0[:, i] * cycles[i].gamma_at(th0[:, i])
@@ -118,7 +114,7 @@ def simulate_trial_set(spec: models.ModelSpec, cycles: list[LimitCycle],
     else:
         cart0 = np.stack([models.polar_to_cart(polar0[:, i], frames[i])
                           for i in range(n_osc)], axis=1)
-        traj = ode.integrate(vf, cart0, duration, step, coords="cartesian")
+        traj = ode.integrate(vf, cart0, duration, step)
         obs = np.stack([models.cart_to_polar(traj.states[:, :, i], frames[i])
                         for i in range(n_osc)], axis=2)
         theta = obs[..., 0]
@@ -198,8 +194,7 @@ def _check_coverage(theta: np.ndarray):
 
 
 def fit_network_vf(trial_set: TrialSet, single_spec: SingleBasisSpec,
-                   pair_spec: PairBasisSpec,
-                   row_budget: int = ROW_BUDGET) -> NetworkVF:
+                   pair_spec: PairBasisSpec, row_budget: int) -> NetworkVF:
     """Fit the uncoupled-plus-pairwise decomposition of the network field."""
     th, r, dth, dr = _pooled_arrays(trial_set, row_budget)
     _check_coverage(th)

@@ -192,7 +192,7 @@ def test_averaging_flow_equivariance(pipeline_runs):
     for kind in MODEL_KINDS:
         run = pipeline_runs[kind]
         frames, cycles, _ = pipeline._load_cycles(run.out_dir)
-        vfs, _ = pipeline._oscillator_fields(run.config, frames)
+        vfs = pipeline._oscillator_fields(run.config, frames)
         cycle, vf = cycles[0], vfs[0]
         t = int(round(0.37 * 2000)) * cycle.step
         th0 = rng.uniform(0, 2 * np.pi, 5)

@@ -15,11 +15,16 @@ def ric():
     return spec, vf, cycle
 
 
+def one_sample(vf, cycle, theta0, r0):
+    """Reduced coordinates of one initial condition, as a batch of one."""
+    return averaging.reduced_coordinates_batch(vf, cycle, [[theta0, r0]])[0]
+
+
 def test_reduced_coordinates_match_closed_form(ric):
     spec, vf, cycle = ric
     a = spec.param("a", 0)
     for theta0, r0 in ((0.0, 1.2), (2.0, 0.85), (4.5, 1.3)):
-        s = averaging.reduced_coordinates(vf, cycle, cycle.lam, theta0, r0)
+        s = one_sample(vf, cycle, theta0, r0)
         sigma_true = a * (r0 ** 2 - 1.0) / (2.0 * a * r0 ** 2)
         assert s.sigma0 == pytest.approx(sigma_true, abs=5e-3)
         assert np.mod(s.phi0 - theta0 + np.pi, 2 * np.pi) - np.pi \
@@ -28,14 +33,14 @@ def test_reduced_coordinates_match_closed_form(ric):
 
 def test_on_cycle_initial_condition_is_zero_amplitude(ric):
     _, vf, cycle = ric
-    s = averaging.reduced_coordinates(vf, cycle, cycle.lam, 1.0, 1.0)
+    s = one_sample(vf, cycle, 1.0, 1.0)
     assert s.sigma0 == 0.0
 
 
 def test_amplitude_sign_follows_initial_deviation(ric):
     _, vf, cycle = ric
-    inner = averaging.reduced_coordinates(vf, cycle, cycle.lam, 0.0, 0.9)
-    outer = averaging.reduced_coordinates(vf, cycle, cycle.lam, 0.0, 1.1)
+    inner = one_sample(vf, cycle, 0.0, 0.9)
+    outer = one_sample(vf, cycle, 0.0, 1.1)
     assert inner.sigma0 < 0 < outer.sigma0
 
 
@@ -52,7 +57,7 @@ def test_batch_matches_single_evaluation(ric):
     ics = np.array([[0.5, 1.15], [3.0, 0.9]])
     batch = averaging.reduced_coordinates_batch(vf, cycle, ics)
     for row, sample in zip(ics, batch):
-        single = averaging.reduced_coordinates(vf, cycle, cycle.lam, *row)
+        single = one_sample(vf, cycle, *row)
         assert sample.phi0 == pytest.approx(single.phi0, abs=1e-9)
         assert sample.sigma0 == pytest.approx(single.sigma0, abs=1e-9)
 
@@ -63,11 +68,10 @@ def test_flow_equivariance(ric):
     n = int(round(t / cycle.step))
     t = n * cycle.step
     for theta0, r0 in ((0.3, 1.2), (2.5, 0.88)):
-        s0 = averaging.reduced_coordinates(vf, cycle, cycle.lam, theta0, r0)
+        s0 = one_sample(vf, cycle, theta0, r0)
         moved = ode.integrate(vf, np.array([theta0, r0]), t, cycle.step).final_state
-        st = averaging.reduced_coordinates(vf, cycle, cycle.lam,
-                                           float(np.mod(moved[0], 2 * np.pi)),
-                                           float(moved[1]))
+        st = one_sample(vf, cycle, float(np.mod(moved[0], 2 * np.pi)),
+                        float(moved[1]))
         dphi = np.mod(st.phi0 - s0.phi0 - cycle.omega * t + np.pi, 2 * np.pi) - np.pi
         assert abs(dphi) < 1e-3
         assert st.sigma0 == pytest.approx(s0.sigma0 * np.exp(cycle.lam * t), abs=1e-3)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ def test_extract_subcommand(tmp_path):
             fh.write(f"{tk},{vk}\n")
     out = tmp_path / "phases.csv"
     assert cli.main(["extract", str(src), "--out", str(out)]) == cli.EXIT_PASS
+    lines = open(out).read().splitlines()
+    assert lines[0] == "t,theta,r,edge"
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"0", "1"}
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape[1] == 4
     good = data[:, 3] == 0
@@ -50,6 +54,24 @@ def test_stage_rerun_is_bitwise_stable(pipeline_runs):
     before = open(path, "rb").read()
     assert cli.main(["transforms", "--from", run.out_dir]) == cli.EXIT_PASS
     assert open(path, "rb").read() == before
+
+
+def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):
+    """A --seed override on a single stage lands in config.json."""
+    from pharec import serialize
+    run = pipeline_runs["radial_isochron_clock"]
+    doc = serialize.read_json(os.path.join(run.out_dir, "config.json"), "config")
+    doc.pop("schema")
+    doc.update(n_trials=1, out_dir=str(tmp_path))
+    serialize.write_json(str(tmp_path / "config.json"), doc, "config")
+    shutil.copyfile(os.path.join(run.out_dir, "limit_cycle.json"),
+                    tmp_path / "limit_cycle.json")
+    assert cli.main(["simulate", "--from", str(tmp_path), "--seed", "7"]) \
+        == cli.EXIT_PASS
+    assert serialize.read_json(str(tmp_path / "config.json"), "config")["seed"] == 7
+    manifest = serialize.read_json(str(tmp_path / "trials" / "manifest.json"),
+                                   "trials")
+    assert manifest["metadata"]["seed"] == 7
 
 
 def test_compare_exit_codes(pipeline_runs, tmp_path):

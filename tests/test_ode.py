@@ -29,14 +29,14 @@ def test_integrate_samples_uniformly():
     assert traj.times.shape[0] == 101
     assert traj.times[0] == 0.0
     np.testing.assert_allclose(np.diff(traj.times), 0.01)
-    traj.validate()
+    assert traj.step_size == 0.01
 
 
 def test_batch_matches_individual_integration():
     batch = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, -0.2]])
-    full = ode.integrate(rotation, batch, 2.0, 0.01, coords="cartesian")
+    full = ode.integrate(rotation, batch, 2.0, 0.01)
     for b in range(batch.shape[0]):
-        single = ode.integrate(rotation, batch[b], 2.0, 0.01, coords="cartesian")
+        single = ode.integrate(rotation, batch[b], 2.0, 0.01)
         np.testing.assert_array_equal(full.states[:, b], single.states)
 
 

@@ -34,14 +34,20 @@ def make_trial(seed=0, n=50):
 
 def test_trial_csv_exact_round_trip(tmp_path):
     trial = make_trial()
+    # A decimal with no exact binary form, a tiny normal, negative zero and
+    # the smallest subnormal, each written with 17 significant digits.
+    trial.theta[1] = [0.1, -0.0]
+    trial.r[1] = [1e-300, 5e-324]
     path = str(tmp_path / "trial.csv")
     serialize.write_trial_csv(path, trial)
-    header = open(path).readline().strip()
-    assert header == "t,theta_1,r_1,theta_2,r_2"
+    lines = open(path).read().splitlines()
+    assert lines[0] == "t,theta_1,r_1,theta_2,r_2"
+    assert lines[2] == "0.01,0.10000000000000001,1e-300,-0,4.9406564584124654e-324"
     again = serialize.read_trial_csv(path)
     np.testing.assert_array_equal(again.times, trial.times)
     np.testing.assert_array_equal(again.theta, trial.theta)
     np.testing.assert_array_equal(again.r, trial.r)
+    assert np.signbit(again.theta[1, 1])
 
 
 def test_trial_set_round_trip(tmp_path):

@@ -89,6 +89,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "extract":
             return run_extract(args)
+        if (args.command != "pipeline" and args.from_dir and args.out
+                and os.path.realpath(args.out) != os.path.realpath(args.from_dir)):
+            raise InvalidConfig("--out", "a stage command reads its inputs from "
+                                "its output directory, so --out must equal --from")
         config = load_config(args)
         if args.command == "pipeline":
             report = pipeline.run_pipeline(config)

@@ -9,7 +9,7 @@ transformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "ObservableFrame",
     "AnalyticGroundTruth",
     "default_spec",
-    "eval_model_vf",
     "network_vf",
     "uncoupled_vf",
     "uncoupled_jacobian",
@@ -49,7 +48,13 @@ WILSON_COWAN = "wilson_cowan"
 
 _POLAR_KINDS = (RADIAL_ISOCHRON_CLOCK, CANONICAL)
 _CARTESIAN_KINDS = (VAN_DER_POL, WILSON_COWAN)
-_ALL_KINDS = _POLAR_KINDS + _CARTESIAN_KINDS
+# Parameter names of each kind; every parameter takes one value per oscillator.
+_PARAM_NAMES = {
+    RADIAL_ISOCHRON_CLOCK: ("a",),
+    CANONICAL: ("a", "alpha"),
+    VAN_DER_POL: ("mu",),
+    WILSON_COWAN: ("a", "b", "c", "d", "rho_x", "rho_y"),
+}
 
 
 def sigmoid(z):
@@ -60,23 +65,29 @@ def sigmoid(z):
 class ModelSpec:
     """Model kind, per-oscillator parameters and directed coupling matrix.
 
-    ``params`` maps a parameter name to one value per oscillator, e.g.
-    ``{"a": (1.0, 0.7)}``.  ``coupling[i, j]`` is the strength of the input
-    from oscillator j into oscillator i.
+    ``params`` maps each of the kind's parameter names to one value per
+    oscillator, e.g. ``{"a": (1.0, 0.7)}``.  ``coupling[i, j]`` is the
+    strength of the input from oscillator j into oscillator i.
     """
 
     kind: str
     params: dict[str, tuple[float, ...]]
     coupling: np.ndarray
-    _wc_eq: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _ALL_KINDS:
+        if self.kind not in _PARAM_NAMES:
             raise UnknownKind(f"unknown model kind {self.kind!r}")
         self.coupling = np.asarray(self.coupling, dtype=float)
-        n = self.n_oscillators
+        n = self.coupling.shape[0] if self.coupling.ndim == 2 else -1
         if self.coupling.shape != (n, n):
-            raise ValueError("coupling matrix shape must match oscillator count")
+            raise ValueError("coupling matrix must be square")
+        names = _PARAM_NAMES[self.kind]
+        if sorted(self.params) != sorted(names) or any(
+                a.shape != (n,) or a.dtype.kind not in "iuf" or not np.isfinite(a).all()
+                for a in map(np.asarray, self.params.values())):
+            raise ValueError(f"{self.kind} takes parameters {', '.join(names)}, "
+                             f"each with one finite number per oscillator ({n}); "
+                             f"got {self.params!r}")
         if np.any(np.diag(self.coupling) != 0.0):
             raise ValueError("self-coupling must be zero")
         if self.kind == RADIAL_ISOCHRON_CLOCK and np.any(np.asarray(self.params["a"]) <= 0):
@@ -86,7 +97,7 @@ class ModelSpec:
 
     @property
     def n_oscillators(self) -> int:
-        return len(next(iter(self.params.values())))
+        return self.coupling.shape[0]
 
     def param(self, name: str, i: int) -> float:
         return float(self.params[name][i])
@@ -139,15 +150,7 @@ def wc_equilibrium(spec: ModelSpec, i: int) -> tuple[float, float]:
     """Fixed point of the uncoupled Wilson-Cowan oscillator, damped Newton."""
     if spec.kind != WILSON_COWAN:
         raise UnknownKind("wc_equilibrium requires a Wilson-Cowan spec")
-    a, b = spec.param("a", i), spec.param("b", i)
-    c, d = spec.param("c", i), spec.param("d", i)
-    rx, ry = spec.param("rho_x", i), spec.param("rho_y", i)
-
-    def resid(p):
-        x, y = p
-        return np.array([-x + sigmoid(rx + a * x - b * y),
-                         -y + sigmoid(ry + c * x - d * y)])
-
+    resid = uncoupled_vf(spec, i)
     jac = uncoupled_jacobian(spec, i)
     p = np.array([0.5, 0.5])
     for _ in range(200):
@@ -163,78 +166,66 @@ def wc_equilibrium(spec: ModelSpec, i: int) -> tuple[float, float]:
     raise NoConvergence("Wilson-Cowan equilibrium did not converge")
 
 
-def _wc_equilibria(spec: ModelSpec) -> np.ndarray:
-    if spec._wc_eq is None:
-        spec._wc_eq = [wc_equilibrium(spec, i) for i in range(spec.n_oscillators)]
-    return np.asarray(spec._wc_eq)
+def _field(kind: str, p: dict, u, v, drive):
+    """(du/dt, dv/dt) of one kind's equations plus the coupling input ``drive``.
 
-
-def eval_model_vf(spec: ModelSpec, states) -> np.ndarray:
-    """Model derivatives in native coordinates, coupling included.
-
-    ``states`` has shape ``(..., N, 2)`` with the trailing pair being
-    (theta, r) for polar kinds and (x, y) for Cartesian kinds.
+    ``(u, v)`` is (theta, r) for polar kinds and (x, y) for Cartesian kinds;
+    ``p`` maps parameter names to scalars or to arrays over oscillators.
+    Squares are written as products: NumPy scalars square through C ``pow``,
+    arrays through ``x * x``, and the two can differ in the last bit.
     """
-    states = np.asarray(states, dtype=float)
-    eps = spec.coupling
-    if spec.kind in _POLAR_KINDS:
-        theta = states[..., 0]
-        r = states[..., 1]
-        if np.any(r <= 0):
+    if kind in _POLAR_KINDS:
+        if np.any(v <= 0):
             raise NonPositiveRadius("polar model evaluated at r <= 0")
-        if spec.kind == RADIAL_ISOCHRON_CLOCK:
-            a = np.asarray(spec.params["a"])
-            rs = r * np.sin(theta)                      # r_j sin(theta_j)
-            drive = rs @ eps.T                          # sum_j eps_ij r_j sin(theta_j)
-            dtheta = 1.0 + drive * np.cos(theta) / r
-            dr = a * r * (1.0 - r ** 2) + drive * np.sin(theta)
-        else:
-            a = np.asarray(spec.params["a"])
-            alpha = np.asarray(spec.params["alpha"])
-            rc = r * np.cos(theta)                      # r_j cos(theta_j)
-            drive = rc @ eps.T
-            dtheta = 1.0 + alpha * a * r ** 2 - drive * np.sin(theta) / r
-            dr = alpha * r * (1.0 - r ** 2) + drive * np.cos(theta)
-        return np.stack([dtheta, dr], axis=-1)
-    if spec.kind == VAN_DER_POL:
-        mu = np.asarray(spec.params["mu"])
-        x = states[..., 0]
-        y = states[..., 1]
-        drive = x @ eps.T
-        dx = y
-        dy = mu * (1.0 - x ** 2) * y - x + drive
-        return np.stack([dx, dy], axis=-1)
-    if spec.kind == WILSON_COWAN:
-        a = np.asarray(spec.params["a"])
-        b = np.asarray(spec.params["b"])
-        c = np.asarray(spec.params["c"])
-        d = np.asarray(spec.params["d"])
-        rx = np.asarray(spec.params["rho_x"])
-        ry = np.asarray(spec.params["rho_y"])
-        x0 = _wc_equilibria(spec)[:, 0]
-        x = states[..., 0]
-        y = states[..., 1]
-        drive = (x - x0) @ eps.T
-        dx = -x + sigmoid(rx + a * x - b * y)
-        dy = -y + sigmoid(ry + c * x - d * y + drive)
-        return np.stack([dx, dy], axis=-1)
-    raise UnknownKind(f"unknown model kind {spec.kind!r}")
+        if kind == RADIAL_ISOCHRON_CLOCK:
+            return (1.0 + drive * np.cos(u) / v,
+                    p["a"] * v * (1.0 - v * v) + drive * np.sin(u))
+        return (1.0 + p["alpha"] * p["a"] * (v * v) - drive * np.sin(u) / v,
+                p["alpha"] * v * (1.0 - v * v) + drive * np.cos(u))
+    if kind == VAN_DER_POL:
+        return v, p["mu"] * (1.0 - u * u) * v - u + drive
+    return (-u + sigmoid(p["rho_x"] + p["a"] * u - p["b"] * v),
+            -v + sigmoid(p["rho_y"] + p["c"] * u - p["d"] * v + drive))
 
 
 def network_vf(spec: ModelSpec):
-    """Vector field callable over the full network state ``(..., N, 2)``."""
-    return lambda states: eval_model_vf(spec, states)
+    """Vector field callable over the full network state ``(..., N, 2)``.
+
+    The trailing pair is (theta, r) for polar kinds and (x, y) for Cartesian
+    kinds.  Oscillator i receives ``sum_j coupling[i, j] * s_j``, where the
+    signal s_j is r sin(theta) (radial isochron clock), r cos(theta)
+    (canonical), x (van der Pol) or x minus its equilibrium (Wilson-Cowan).
+    """
+    kind, eps = spec.kind, spec.coupling
+    p = {k: np.asarray(v) for k, v in spec.params.items()}
+    if kind == WILSON_COWAN:
+        x0 = np.asarray([wc_equilibrium(spec, i)
+                         for i in range(spec.n_oscillators)])[:, 0]
+
+    def vf(states):
+        states = np.asarray(states, dtype=float)
+        u, v = states[..., 0], states[..., 1]
+        if kind == RADIAL_ISOCHRON_CLOCK:
+            signal = v * np.sin(u)
+        elif kind == CANONICAL:
+            signal = v * np.cos(u)
+        elif kind == VAN_DER_POL:
+            signal = u
+        else:
+            signal = u - x0
+        return np.stack(_field(kind, p, u, v, signal @ eps.T), axis=-1)
+
+    return vf
 
 
 def uncoupled_vf(spec: ModelSpec, i: int):
     """Planar vector field of oscillator ``i`` with coupling removed."""
-    sub = ModelSpec(spec.kind,
-                    {k: (v[i],) for k, v in spec.params.items()},
-                    np.zeros((1, 1)))
+    p = {k: spec.param(k, i) for k in spec.params}
 
     def vf(state):
         state = np.asarray(state, dtype=float)
-        return eval_model_vf(sub, state[..., None, :])[..., 0, :]
+        return np.stack(_field(spec.kind, p, state[..., 0], state[..., 1], 0.0),
+                        axis=-1)
 
     return vf
 
@@ -366,7 +357,7 @@ def polar_uncoupled_vf(spec: ModelSpec, i: int, frame: ObservableFrame | None = 
         return uncoupled_vf(spec, i)
     if frame is None:
         raise ValueError("Cartesian kinds require an observable frame")
-    cart = uncoupled_vf(spec, i)
+    p = {k: spec.param(k, i) for k in spec.params}
     s = frame.orientation
     cx, cy = frame.center
 
@@ -376,10 +367,9 @@ def polar_uncoupled_vf(spec: ModelSpec, i: int, frame: ObservableFrame | None = 
         r = state[..., 1]
         ang = s * theta
         ca, sa = np.cos(ang), np.sin(ang)
-        xy = np.stack([cx + r * ca, cy + r * sa], axis=-1)
-        f = cart(xy)
-        dr = f[..., 0] * ca + f[..., 1] * sa
-        dtheta = s * (f[..., 1] * ca - f[..., 0] * sa) / r
+        fx, fy = _field(spec.kind, p, cx + r * ca, cy + r * sa, 0.0)
+        dr = fx * ca + fy * sa
+        dtheta = s * (fy * ca - fx * sa) / r
         return np.stack([dtheta, dr], axis=-1)
 
     return vf

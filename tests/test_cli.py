@@ -74,6 +74,20 @@ def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):
     assert manifest["metadata"]["seed"] == 7
 
 
+def test_stage_out_must_match_from(tmp_path, capsys):
+    """A stage command rejects --out NEW with --from DIR before writing."""
+    from pharec import pipeline, serialize
+    src, new = tmp_path / "src", tmp_path / "new"
+    src.mkdir()
+    doc = pipeline.default_config("canonical", str(src)).to_dict()
+    serialize.write_json(str(src / "config.json"), doc, "config")
+    assert cli.main(["simulate", "--from", str(src), "--out", str(new)]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--out" in err and "--from" in err
+    assert not (new / "config.json").exists()
+
+
 def test_compare_exit_codes(pipeline_runs, tmp_path):
     from pharec import serialize
     run = pipeline_runs["radial_isochron_clock"]

@@ -50,17 +50,46 @@ def test_canonical_uncoupled_field():
 def test_polar_kind_rejects_nonpositive_radius():
     spec = models.default_spec("radial_isochron_clock")
     with pytest.raises(NonPositiveRadius):
-        models.eval_model_vf(spec, np.array([[0.0, 1.0], [0.0, -0.1]]))
+        models.network_vf(spec)(np.array([[0.0, 1.0], [0.0, -0.1]]))
 
 
 def test_network_field_coupling_direction():
     spec = models.default_spec("radial_isochron_clock")
     state = np.array([[0.5, 1.1], [1.2, 0.9]])
-    net = models.eval_model_vf(spec, state)
+    net = models.network_vf(spec)(state)
     unc = np.stack([models.uncoupled_vf(spec, i)(state[i]) for i in range(2)])
     # Oscillator 0 is undriven, oscillator 1 receives the drive.
     np.testing.assert_allclose(net[0], unc[0])
     assert np.abs(net[1] - unc[1]).max() > 1e-3
+
+
+def test_one_formula_behind_every_field():
+    """Network, uncoupled and polar fields agree bit for bit where they should."""
+    rng = np.random.default_rng(0)
+    for kind in KINDS:
+        spec = models.default_spec(kind)
+        frames = [models.estimate_frame(spec, i) for i in range(2)]
+        if kind in ("van_der_pol", "wilson_cowan"):
+            center = np.array([f.center for f in frames])
+            states = center + 0.2 * rng.standard_normal((5, 2, 2))
+        else:
+            states = np.stack([rng.uniform(0.0, 2.0 * np.pi, (5, 2)),
+                               rng.uniform(0.5, 1.5, (5, 2))], axis=-1)
+        spec.coupling = np.zeros((2, 2))
+        net = models.network_vf(spec)(states)
+        for i in range(2):
+            assert np.array_equal(net[:, i], models.uncoupled_vf(spec, i)(states[:, i]))
+        if kind in ("van_der_pol", "wilson_cowan"):
+            # Single (2,) states take NumPy's scalar arithmetic, batches its
+            # array arithmetic; both must give the same bits.  A scalar
+            # ``x ** 2`` misses ``x * x`` about once in 1,200 draws, hence
+            # thousands of states.
+            vf = models.polar_uncoupled_vf(spec, 0, frames[0])
+            span = (0.1, 0.4) if kind == "wilson_cowan" else (0.5, 3.0)
+            batch = np.stack([rng.uniform(0.0, 2.0 * np.pi, 4000),
+                              rng.uniform(*span, 4000)], axis=-1)
+            single = np.stack([vf(s) for s in batch])
+            assert np.array_equal(single, vf(batch))
 
 
 def test_jacobians_match_finite_differences():

@@ -32,10 +32,16 @@ def test_invalid_values_rejected():
         bad[key] = value
         with pytest.raises(InvalidConfig):
             pipeline.PipelineConfig.from_dict(bad)
-    bad = dict(base)
-    bad["model"] = {"kind": "nope", "params": {"a": [1.0]}, "coupling": [[0.0]]}
-    with pytest.raises(InvalidConfig):
-        pipeline.PipelineConfig.from_dict(bad)
+    two = [[0.0, 0.0], [0.3, 0.0]]
+    for model in ({"kind": "nope", "params": {"a": [1.0]}, "coupling": [[0.0]]},
+                  {"kind": "van_der_pol", "params": {"nu": [0.3, 0.5]},
+                   "coupling": two},
+                  {"kind": "canonical", "params": {"a": [1.2, 1.0], "alpha": [1.5]},
+                   "coupling": two},
+                  {"kind": "van_der_pol", "params": {"mu": [None, 0.5]},
+                   "coupling": two}):
+        with pytest.raises(InvalidConfig):
+            pipeline.PipelineConfig.from_dict(dict(base, model=model))
     with pytest.raises(InvalidConfig):
         pipeline.PipelineConfig.from_dict(dict(base, unknown_key=1))
 

@@ -33,8 +33,8 @@ FLOOR_ABS = 1e-12
 # Profile-fit residual enters the floor: below it, rho measures series
 # truncation of gamma rather than transverse decay.
 FLOOR_GAMMA_FACTOR = 10.0
-# Initial conditions integrated per lockstep batch.
-CHUNK_SIZE = 160
+# Time steps integrated per lockstep block: two periods.
+_BLOCK_STEPS = 2 * STEPS_PER_PERIOD
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,23 @@ def _precision_floor(cycle: LimitCycle, rho0):
                       FLOOR_GAMMA_FACTOR * cycle.gamma_resid)
 
 
-def _trusted_window(cycle: LimitCycle, rho: np.ndarray, period_steps: int):
-    """Averaging window [i1, i2] of each deviation column (time on axis 0).
+def _last_above(above: np.ndarray) -> np.ndarray:
+    """Index of the last True along axis 0 of each column; -1 where none."""
+    last = above.shape[0] - 1 - np.argmax(above[::-1], axis=0)
+    return np.where(above.any(axis=0), last, -1)
 
-    i2 is the last index where |rho| exceeds the precision floor set by
-    rho[0]; the window reaches back over the whole periods of ``period_steps``
-    that fit, at most two.  ``periods`` counts them.  Where it is 0 (|rho|
-    never exceeds the floor, or only within the first period) the window is
-    the last two periods of the run.
+
+def _trusted_window(last, n: int, period_steps: int):
+    """Averaging window [i1, i2] of a run of n steps whose |rho| last exceeds
+    the precision floor at index ``last`` (-1: never).
+
+    The window ends there and reaches back over the whole periods of
+    ``period_steps`` that fit, at most two; ``periods`` counts them.  Where
+    it is 0 (|rho| never exceeds the floor, or only within the first period)
+    the window is the last two periods of the run.
     """
-    n = rho.shape[0] - 1
-    above = np.abs(rho) > _precision_floor(cycle, rho[0])
-    i2 = n - np.argmax(above[::-1], axis=0)
-    periods = np.where(above.any(axis=0), np.minimum(i2 // period_steps, 2), 0)
-    i2 = np.where(periods > 0, i2, n)
+    periods = np.where(last >= 0, np.minimum(last // period_steps, 2), 0)
+    i2 = np.where(periods > 0, last, n)
     return i2 - np.where(periods > 0, periods, 2) * period_steps, i2, periods
 
 
@@ -86,7 +89,8 @@ def observable_deviation(trajectory: ode.Trajectory, cycle: LimitCycle) -> Obser
     r = trajectory.states[..., 1]
     rho = r - cycle.gamma_at(theta)
     i1, i2, periods = _trusted_window(
-        cycle, rho, int(round(cycle.period / trajectory.step_size)))
+        _last_above(np.abs(rho) > _precision_floor(cycle, rho[0])), rho.shape[0] - 1,
+        int(round(cycle.period / trajectory.step_size)))
     if periods < 2:
         raise TooShort("fewer than two periods above the precision floor")
     return ObservableDeviation(times=trajectory.times, rho=rho,
@@ -117,19 +121,46 @@ def _horizon_steps(cycle: LimitCycle, lam: float, rho_max: float) -> int:
     return int(round(duration / cycle.step))
 
 
-def _window_means(cum: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
-    """Means over inclusive index windows from a zero-padded cumulative sum."""
-    counts = i2 - i1 + 1
-    return (np.take_along_axis(cum, i2[None, :] + 1, axis=0)
-            - np.take_along_axis(cum, i1[None, :], axis=0))[0] / counts
+def _window_means(cum: np.ndarray, base: int, i1, i2, cols) -> np.ndarray:
+    """Means over the inclusive windows [i1, i2] of columns ``cols``, from
+    zero-padded cumulative sums whose row 0 is padded index ``base``."""
+    return (cum[i2 + 1 - base, cols] - cum[i1 - base, cols]) / (i2 - i1 + 1)
+
+
+def _extend(cum: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Kept cumulative-sum rows followed by their continuation over ``block``.
+
+    np.cumsum runs sequentially down axis 0, so continuing it from the last
+    kept row gives the bits of one cumulative sum over the whole horizon.
+    """
+    out = np.concatenate([cum, block])
+    tail = out[cum.shape[0] - 1:]
+    np.cumsum(tail, axis=0, out=tail)
+    return out
+
+
+def _blocks(vf, state, n: int, step: float):
+    """Lockstep states at time indices 0..n as (first index, states) blocks,
+    each integrated over at most _BLOCK_STEPS steps from the last state
+    before it."""
+    done = 0
+    while done < n:
+        k = min(_BLOCK_STEPS, n - done)
+        states = ode.integrate(vf, state, k * step, step).states
+        state = states[-1]
+        yield (0, states) if done == 0 else (done + 1, states[1:])
+        done += k
 
 
 def reduced_coordinates_batch(vf, cycle: LimitCycle, ics) -> list[ReducedSample]:
     """Reduced coordinates for a batch of observable initial conditions.
 
-    ``ics`` has shape (B, 2) with rows (theta0, r0).  All initial conditions
-    integrate in lockstep over a shared horizon chosen so every deviation
-    decays to the precision floor.
+    ``ics`` has shape (B, 2) with rows (theta0, r0).  They integrate in one
+    lockstep batch, behind a reference run from the cycle anchor in column 0,
+    over a shared horizon chosen so every deviation decays to the precision
+    floor.  The batch streams through time in blocks: the averages come from
+    running cumulative sums of which only the last two periods are kept, so
+    memory does not grow with the horizon.
     """
     ics = np.atleast_2d(np.asarray(ics, dtype=float))
     lam = cycle.lam
@@ -138,47 +169,52 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics) -> list[ReducedSample]
     step = cycle.step
     rho0 = ics[:, 1] - cycle.gamma_at(ics[:, 0])
     n = _horizon_steps(cycle, lam, float(np.max(np.abs(rho0))) if ics.size else 1.0)
-    times = np.arange(n + 1) * step
     r_cap = 10.0 * float(np.max(cycle.gamma_at(np.linspace(0, 2 * np.pi, 256))))
+    b = ics.shape[0]
 
-    # Reference run from the cycle anchor supplies the phase origin.
-    ref = ode.integrate(vf, np.asarray(cycle.anchor), n * step, step)
-    phase_factor = np.exp(-1j * cycle.omega * times)
-    # Co-rotating part of r cos(theta) e^{-i omega t}: the counter-rotating
-    # half (r/2) e^{-i theta} e^{-i omega t} integrates to zero only over an
-    # infinite horizon; over the finite window it leaves an O(rho(t1)) phase
-    # bias that breaks flow equivariance, so it is subtracted exactly.
-    z_ref = 0.5 * ref.states[:, 1] * np.exp(1j * ref.states[:, 0]) * phase_factor
-    cum_ref = np.concatenate([[0.0 + 0.0j], np.cumsum(z_ref)])
-
-    out: list[ReducedSample] = []
-    for lo in range(0, ics.shape[0], CHUNK_SIZE):
-        chunk = ics[lo:lo + CHUNK_SIZE]
-        traj = ode.integrate(vf, chunk, n * step, step)
-        theta = traj.states[..., 0]
-        r = traj.states[..., 1]
-        if np.any(r >= r_cap) or np.any(r <= 0):
+    # Zero-padded cumulative sums of |rho| e^{-lambda t} (initial conditions)
+    # and of z (reference run first): the last two periods, then the block.
+    cum_amp, cum_z = np.zeros((1, b)), np.zeros((1, b + 1), dtype=complex)
+    last = np.full(b, -1)
+    amp_mean, z_mean, zr = np.zeros(b), np.zeros(b, complex), np.zeros(b, complex)
+    for lo, states in _blocks(vf, np.concatenate([[cycle.anchor], ics]), n, step):
+        hi = lo + states.shape[0]
+        theta, r = states[..., 0], states[..., 1]
+        if np.any(r[:, 1:] >= r_cap) or np.any(r[:, 1:] <= 0):
             raise BasinEscape("trajectory left the sandbox around the cycle")
-        rho = r - cycle.gamma_at(theta)
+        rho = r[:, 1:] - cycle.gamma_at(theta[:, 1:])
+        if lo == 0:
+            floor, sign = _precision_floor(cycle, rho[0]), np.sign(rho[0])
+        rho = np.abs(rho)
         # Strongly contracting cycles may cross the floor in under two
         # periods; average over as many whole periods as fit (up to two).
-        i1, i2, periods = _trusted_window(cycle, rho, STEPS_PER_PERIOD)
-        on_cycle = periods == 0
+        hit = _last_above(rho > floor)
+        last = np.where(hit >= 0, lo + hit, last)
+        times = np.arange(lo, hi) * step
+        # Co-rotating part of r cos(theta) e^{-i omega t}: the
+        # counter-rotating half (r/2) e^{-i theta} e^{-i omega t} integrates
+        # to zero only over an infinite horizon; over the finite window it
+        # leaves an O(rho(t1)) phase bias that breaks flow equivariance, so it
+        # is subtracted exactly.
+        z = 0.5 * r * np.exp(1j * theta) * np.exp(-1j * cycle.omega * times)[:, None]
+        base = lo + 1 - cum_z.shape[0]
+        cum_amp = _extend(cum_amp, rho * np.exp(-lam * times)[:, None])
+        cum_z = _extend(cum_z, z)
+        del rho, z
 
-        decay = np.exp(-lam * times)[:, None]
-        cum_amp = np.concatenate([np.zeros((1, chunk.shape[0])),
-                                  np.cumsum(np.abs(rho) * decay, axis=0)])
-        z = 0.5 * r * np.exp(1j * theta) * phase_factor[:, None]
-        cum_z = np.concatenate([np.zeros((1, chunk.shape[0]), dtype=complex),
-                                np.cumsum(z, axis=0)])
+        # Windows ending in this block are final unless a later block finds
+        # |rho| above the floor again.
+        i1, i2, periods = _trusted_window(last, n, STEPS_PER_PERIOD)
+        done = np.flatnonzero((i2 >= lo) & (i2 < hi))
+        w1, w2 = i1[done], i2[done]
+        amp_mean[done] = _window_means(cum_amp, base, w1, w2, done)
+        z_mean[done] = _window_means(cum_z, base, w1, w2, done + 1)
+        zr[done] = _window_means(cum_z, base, w1, w2, 0)
+        keep = 2 * STEPS_PER_PERIOD + 1
+        cum_amp, cum_z = cum_amp[-keep:].copy(), cum_z[-keep:].copy()
 
-        sig = _window_means(cum_amp, i1, i2)
-        sig = np.where(on_cycle, 0.0, sig * np.sign(rho[0]))
-        z_mean = _window_means(cum_z, i1, i2)
-        zr = _window_means(cum_ref[:, None], i1, i2)
-        phi0 = np.mod(np.angle(z_mean) - np.angle(zr), 2.0 * np.pi)
-        for b in range(chunk.shape[0]):
-            out.append(ReducedSample(theta0=float(chunk[b, 0]), r0=float(chunk[b, 1]),
-                                     phi0=float(phi0[b]), sigma0=float(sig[b])))
-    return out
-
+    sig = np.where(periods == 0, 0.0, amp_mean * sign)
+    phi0 = np.mod(np.angle(z_mean) - np.angle(zr), 2.0 * np.pi)
+    return [ReducedSample(theta0=float(ics[k, 0]), r0=float(ics[k, 1]),
+                          phi0=float(phi0[k]), sigma0=float(sig[k]))
+            for k in range(b)]

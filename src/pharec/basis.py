@@ -11,6 +11,7 @@ descriptor lists so fitted coefficients can be addressed symbolically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,13 @@ def pair_terms(spec: PairBasisSpec) -> list[PairTerm]:
     return terms
 
 
+@functools.cache
+def _terms(spec) -> tuple:
+    """Term descriptors of ``spec``, enumerated once per spec."""
+    return tuple(single_terms(spec) if isinstance(spec, SingleBasisSpec)
+                 else pair_terms(spec))
+
+
 def _harmonics(theta: np.ndarray, k_max: int, constant: bool, lead: tuple,
                grad: bool):
     """{1,} cos k*theta, sin k*theta along a new trailing axis, and d/dtheta
@@ -243,9 +251,7 @@ class FittedSeries:
 
     def coefficient(self, **kwargs) -> float:
         """Look up one coefficient by term attributes, e.g. (n=1, k=0)."""
-        terms = (single_terms(self.spec) if isinstance(self.spec, SingleBasisSpec)
-                 else pair_terms(self.spec))
-        hits = [t for t in terms
+        hits = [t for t in _terms(self.spec)
                 if all(getattr(t, key) == val for key, val in kwargs.items())]
         if len(hits) != 1:
             raise KeyError(f"term lookup {kwargs} matched {len(hits)} terms")
@@ -265,17 +271,21 @@ def series_eval(series: FittedSeries, *point) -> np.ndarray:
     return _outer(_factors(series.spec, point)[0]) @ series.coefficients
 
 
+def _grad_rows(spec, point) -> list[np.ndarray]:
+    """Basis rows of the value and of each partial derivative, in the order
+    series_eval_grad returns them."""
+    stacks, derivs = _factors(spec, point, grad=True)
+    return [_outer(stacks)] + [_outer(stacks[:slot] + [d] + stacks[slot + 1:])
+                               for slot, d in derivs]
+
+
 def series_eval_grad(series: FittedSeries, *point):
     """Value and analytic partial derivatives of a fitted series.
 
     Single series return (value, d/dtheta, d/dradius); pairwise series return
     (value, (d/dtheta_i, d/dtheta_j), (d/dr_i, d/dr_j)).
     """
-    stacks, derivs = _factors(series.spec, point, grad=True)
-    q = series.coefficients
-    value = _outer(stacks) @ q
-    grads = [_outer(stacks[:slot] + [d] + stacks[slot + 1:]) @ q
-             for slot, d in derivs]
+    value, *grads = [row @ series.coefficients for row in _grad_rows(series.spec, point)]
     if isinstance(series.spec, SingleBasisSpec):
         return (value, *grads)
     return value, tuple(grads[:2]), tuple(grads[2:])

@@ -72,12 +72,10 @@ def reduced_coupling_samples(nvf: NetworkVF, transform_sets: list[TransformSet],
     th_j, r_j = angles[:, j], radii[:, j]
     g = eval_coupling(nvf, i, j, th_i, r_i, th_j, r_j)
     ti, tj = transform_sets[i], transform_sets[j]
-    phi_i, dphi_dth, dphi_dr = ti.phi_grad(th_i, r_i)
-    sig_i, dsig_dth, dsig_dr = ti.sigma_grad(th_i, r_i)
+    (phi_i, dphi_dth, dphi_dr), (sig_i, dsig_dth, dsig_dr) = ti.inverse_grad(th_i, r_i)
     g_phi = dphi_dth * g[:, 0] + dphi_dr * g[:, 1]
     g_sig = dsig_dth * g[:, 0] + dsig_dr * g[:, 1]
-    phi_j = tj.phi(th_j, r_j)
-    sig_j = tj.sigma(th_j, r_j)
+    phi_j, sig_j = tj.inverse(th_j, r_j)
 
     def in_range(sig, dom):
         width = dom[1] - dom[0]

@@ -26,6 +26,8 @@ __all__ = [
 
 STEPS_PER_PERIOD = 2000
 DEFAULT_N_G = 8
+# Points per gamma evaluation slice; a multiple of 4 (see LimitCycle.gamma_at).
+_GAMMA_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,25 @@ class LimitCycle:
     monodromy: np.ndarray | None = None
 
     def gamma_at(self, theta) -> np.ndarray:
+        """gamma(theta) for any shape; inputs of more than _GAMMA_SLICE points
+        go in slices of whole leading-axis rows, with the one-shot bits.
+
+        matmul contracts a basis of two or more leading axes one leading
+        index at a time anyway, and BLAS gemv takes a 1-D input's rows in
+        groups of four, which _GAMMA_SLICE rows never split.  A lone last row
+        would take another BLAS routine, so it joins the slice before it.
+        """
         theta = np.asarray(theta, dtype=float)
-        return single_row(self.gamma.spec, theta, np.ones_like(theta)) @ self.gamma.coefficients
+        q = self.gamma.coefficients
+        if theta.size <= _GAMMA_SLICE:
+            return single_row(self.gamma.spec, theta, np.ones_like(theta)) @ q
+        out = np.empty(theta.shape)
+        rows = max(1, _GAMMA_SLICE * len(theta) // theta.size)
+        stops = [*range(rows, len(theta) - 1, rows), len(theta)]
+        for lo, hi in zip([0, *stops], stops):
+            out[lo:hi] = single_row(self.gamma.spec, theta[lo:hi],
+                                    np.ones_like(theta[lo:hi])) @ q
+        return out
 
     @property
     def step(self) -> float:

@@ -364,22 +364,22 @@ def stage_compare(config: PipelineConfig) -> dict:
             r_hi = 1.3 if spec.kind == models.RADIAL_ISOCHRON_CLOCK else 1.25
             TH, R = np.meshgrid(th, np.linspace(0.8, r_hi, 15))
             gt = truths[i]
+            phi_fit, sig_fit = ts.inverse(TH, R)
             if spec.kind == models.RADIAL_ISOCHRON_CLOCK:
                 rows.append(_row(f"sigma_transform_osc{i}",
-                                 float(np.abs(ts.sigma(TH, R) - gt.sigma_scaled(TH, R)).max()),
+                                 float(np.abs(sig_fit - gt.sigma_scaled(TH, R)).max()),
                                  tol["sigma_abs"]))
                 rows.append(_row(f"phi_transform_osc{i}",
-                                 float(np.abs(_wrap(ts.phi(TH, R) - gt.phi(TH, R))).max()),
+                                 float(np.abs(_wrap(phi_fit - gt.phi(TH, R))).max()),
                                  tol["phi_abs_ric"]))
             else:
                 ana = gt.sigma(TH, R)
-                fit = ts.sigma(TH, R)
-                scale = float(np.sum(fit * ana) / np.sum(ana * ana))
-                rel = float(np.abs(fit - scale * ana).max() / np.abs(scale * ana).max())
+                scale = float(np.sum(sig_fit * ana) / np.sum(ana * ana))
+                rel = float(np.abs(sig_fit - scale * ana).max() / np.abs(scale * ana).max())
                 rows.append(_row(f"sigma_transform_osc{i}", rel,
                                  tol["sigma_rel_scaled"]))
                 rows.append(_row(f"phi_transform_osc{i}",
-                                 float(np.abs(_wrap(ts.phi(TH, R) - gt.phi(TH, R))).max()),
+                                 float(np.abs(_wrap(phi_fit - gt.phi(TH, R))).max()),
                                  tol["phi_abs_canonical"]))
         else:
             rows.append(_skip_row(f"sigma_transform_osc{i}"))
@@ -390,14 +390,12 @@ def stage_compare(config: PipelineConfig) -> dict:
         # inside the sampled annulus.
         TH, U = np.meshgrid(th, u)
         R = U * cycle.gamma_at(TH)
-        P, S = ts.phi(TH, R), ts.sigma(TH, R)
-        comp = max(float(np.abs(ts.k_r(P, S) - R).max()),
-                   float(np.abs(_wrap(ts.k_theta(P, S) - TH)).max()))
+        k_theta, k_r = ts.forward(*ts.inverse(TH, R))
+        comp = max(float(np.abs(k_r - R).max()), float(np.abs(_wrap(k_theta - TH)).max()))
         rows.append(_row(f"composition_osc{i}", comp, tol["composition_abs"]))
 
         f = vfs[i](np.stack([TH, R], axis=-1))
-        _, dpt, dpr = ts.phi_grad(TH, R)
-        sig, dst, dsr = ts.sigma_grad(TH, R)
+        (_, dpt, dpr), (sig, dst, dsr) = ts.inverse_grad(TH, R)
         res_phi = np.sqrt(np.mean((f[..., 0] * dpt + f[..., 1] * dpr - cycle.omega) ** 2))
         res_sig = np.sqrt(np.mean((f[..., 0] * dst + f[..., 1] * dsr - cycle.lam * sig) ** 2))
         rows.append(_row(f"pde_phi_osc{i}", float(res_phi / cycle.omega),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pharec import averaging, limit_cycle, models, ode
+from pharec import averaging, basis, limit_cycle, models, ode
 from pharec.errors import BasinEscape, TooShort
 
 
@@ -95,3 +95,82 @@ def test_escaping_initial_condition_rejected(ric):
     with pytest.raises(BasinEscape):
         averaging.reduced_coordinates_batch(repelling, cycle,
                                             np.array([[0.0, 1.5]]))
+
+
+def reference_batch(vf, cycle, ics):
+    """Whole-horizon averaging as it was before the batch streamed in
+    blocks: the reference run integrated on its own, every trajectory, the
+    deviations, the weights and the cumulative sums kept over the whole
+    horizon, and gamma as one basis product.  Returns phi0, sigma0, the
+    periods averaged, the window ends and the horizon."""
+    ics = np.asarray(ics, dtype=float)
+    lam, step, period = cycle.lam, cycle.step, limit_cycle.STEPS_PER_PERIOD
+
+    def gamma(theta):
+        return basis.single_row(cycle.gamma.spec, theta,
+                                np.ones_like(theta)) @ cycle.gamma.coefficients
+
+    def padded_cumsum(x):
+        return np.concatenate([np.zeros((1,) + x.shape[1:], dtype=x.dtype),
+                               np.cumsum(x, axis=0)])
+
+    n = averaging._horizon_steps(
+        cycle, lam, float(np.max(np.abs(ics[:, 1] - gamma(ics[:, 0])))))
+    times = np.arange(n + 1) * step
+    phase_factor = np.exp(-1j * cycle.omega * times)
+    ref = ode.integrate(vf, np.asarray(cycle.anchor), n * step, step)
+    cum_ref = padded_cumsum(0.5 * ref.states[:, 1] * np.exp(1j * ref.states[:, 0])
+                            * phase_factor)
+    traj = ode.integrate(vf, ics, n * step, step)
+    theta, r = traj.states[..., 0], traj.states[..., 1]
+    rho = r - gamma(theta)
+    above = np.abs(rho) > averaging._precision_floor(cycle, rho[0])
+    i2 = n - np.argmax(above[::-1], axis=0)
+    periods = np.where(above.any(axis=0), np.minimum(i2 // period, 2), 0)
+    i2 = np.where(periods > 0, i2, n)
+    i1 = i2 - np.where(periods > 0, periods, 2) * period
+
+    def means(cum):
+        return (np.take_along_axis(cum, i2[None, :] + 1, axis=0)
+                - np.take_along_axis(cum, i1[None, :], axis=0))[0] / (i2 - i1 + 1)
+
+    sig = means(padded_cumsum(np.abs(rho) * np.exp(-lam * times)[:, None]))
+    sig = np.where(periods == 0, 0.0, sig * np.sign(rho[0]))
+    z = 0.5 * r * np.exp(1j * theta) * phase_factor[:, None]
+    phi0 = np.mod(np.angle(means(padded_cumsum(z)))
+                  - np.angle(means(cum_ref[:, None])), 2.0 * np.pi)
+    return phi0, sig, periods, i2, n
+
+
+@pytest.mark.parametrize("a", [0.4, 1.5])
+def test_streaming_batch_equals_whole_horizon_average(a, monkeypatch):
+    """Seven initial conditions (not a multiple of four), one on the cycle,
+    give exactly the whole-horizon result.  The slow clock (lambda = -0.8)
+    runs a horizon that is not a whole number of blocks, and runs again with
+    a block starting right at the end of a two-period window, which then
+    starts at the oldest kept cumulative row; on the fast clock (lambda = -3)
+    the deviations reach the floor within two periods."""
+    spec = models.ModelSpec("radial_isochron_clock", {"a": (a,)}, [[0.0]])
+    vf = models.uncoupled_vf(spec, 0)
+    cycle = limit_cycle.find_limit_cycle(vf, np.array([0.3, 1.4]))
+    cycle = limit_cycle.floquet_from_monodromy(vf, models.uncoupled_jacobian(spec, 0),
+                                               cycle)
+    th = np.array([0.0, 0.7, 1.9, 2.6, 3.5, 4.4, 5.8])
+    u = np.array([1.25, 0.8, 1.0, 1.1, 0.95, 1.3, 0.78])
+    ics = np.stack([th, u * cycle.gamma_at(th)], axis=1)
+    phi0, sig, periods, i2, n = reference_batch(vf, cycle, ics)
+
+    def check():
+        samples = averaging.reduced_coordinates_batch(vf, cycle, ics)
+        assert [s.phi0 for s in samples] == phi0.tolist()
+        assert [s.sigma0 for s in samples] == sig.tolist()
+
+    check()
+    assert periods[2] == 0 and sig[2] == 0.0
+    if a < 1:
+        assert n % averaging._BLOCK_STEPS != 0
+        assert set(periods) == {0, 2}
+        monkeypatch.setattr(averaging, "_BLOCK_STEPS", int(i2[0]) - 1)
+        check()
+    else:
+        assert set(periods) == {0, 1}

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -80,3 +84,40 @@ def test_noncircular_cycle_profile():
     assert gamma.min() > 0
     assert gamma.max() / gamma.min() > 1.05  # genuinely non-circular
     assert cycle.gamma_resid < 1e-5
+
+
+GAMMA_BITS = """
+import numpy as np
+from pharec.basis import FittedSeries, SingleBasisSpec, single_row
+from pharec.limit_cycle import LimitCycle
+
+rng = np.random.default_rng(3)
+spec = SingleBasisSpec(0, 32)
+cycle = LimitCycle(period=1.0, omega=2.0 * np.pi, anchor=(0.0, 1.0),
+                   gamma=FittedSeries(spec, rng.standard_normal(spec.size)))
+for shape in [(), (1,), (4095,), (4096,), (4097,), (10001,), (3, 5), (700, 7)]:
+    theta = rng.uniform(0.0, 2.0 * np.pi, shape)
+    got = cycle.gamma_at(theta)
+    want = single_row(spec, theta, np.ones_like(theta)) @ cycle.gamma.coefficients
+    assert np.shape(got) == shape, (shape, np.shape(got))
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), shape
+print("ok")
+"""
+
+
+def test_gamma_slices_keep_one_shot_bits():
+    """gamma_at evaluates long inputs in slices; each point keeps the bits of
+    the one-shot basis product, whatever the input's shape.
+
+    This rests on BLAS gemv taking rows in groups of four, and is checked
+    with one BLAS thread: a threaded gemv splits the rows among threads at
+    boundaries of its own, so its bits already depend on the thread count.
+    """
+    import pharec
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(pharec.__file__)))
+    done = subprocess.run([sys.executable, "-c", GAMMA_BITS], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

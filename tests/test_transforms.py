@@ -34,31 +34,32 @@ def test_inverse_maps_recover_closed_forms(fitted):
     th, r = np.meshgrid(np.linspace(0, 2 * np.pi, 30, endpoint=False),
                         np.linspace(0.85, 1.25, 10))
     sigma_true = (r ** 2 - 1.0) / (2.0 * r ** 2)
-    assert np.abs(ts.sigma(th, r) - sigma_true).max() < 5e-3
-    assert np.abs(transforms._wrap(ts.phi(th, r) - th)).max() < 5e-3
+    phi, sig = ts.inverse(th, r)
+    assert np.abs(sig - sigma_true).max() < 5e-3
+    assert np.abs(transforms._wrap(phi - th)).max() < 5e-3
 
 
 def test_forward_inverse_composition(fitted):
     _, _, _, ts = fitted
     th, r = np.meshgrid(np.linspace(0, 2 * np.pi, 25, endpoint=False),
                         np.linspace(0.85, 1.25, 8))
-    p, s = ts.phi(th, r), ts.sigma(th, r)
-    assert np.abs(ts.k_r(p, s) - r).max() < 1e-2
-    assert np.abs(transforms._wrap(ts.k_theta(p, s) - th)).max() < 1e-2
+    k_theta, k_r = ts.forward(*ts.inverse(th, r))
+    assert np.abs(k_r - r).max() < 1e-2
+    assert np.abs(transforms._wrap(k_theta - th)).max() < 1e-2
 
 
 def test_gradients_match_finite_differences(fitted):
     _, _, _, ts = fitted
     th, r, h = 1.0, 1.1, 1e-6
-    _, dpt, dpr = ts.phi_grad(th, r)
-    assert dpt == pytest.approx((ts.phi(th + h, r) - ts.phi(th - h, r)) / (2 * h),
-                                abs=1e-6)
-    assert dpr == pytest.approx((ts.phi(th, r + h) - ts.phi(th, r - h)) / (2 * h),
-                                abs=1e-6)
-    sig, dst, dsr = ts.sigma_grad(th, r)
-    assert sig == pytest.approx(ts.sigma(th, r))
-    assert dsr == pytest.approx((ts.sigma(th, r + h) - ts.sigma(th, r - h)) / (2 * h),
-                                abs=1e-6)
+    (phi, dpt, dpr), (sig, dst, dsr) = ts.inverse_grad(th, r)
+
+    def diff(dth, dr):
+        return ((np.array(ts.inverse(th + dth, r + dr))
+                 - np.array(ts.inverse(th - dth, r - dr))) / (2 * h))
+
+    assert (dpt, dst) == pytest.approx(tuple(diff(h, 0.0)), abs=1e-6)
+    assert (dpr, dsr) == pytest.approx(tuple(diff(0.0, h)), abs=1e-6)
+    assert (phi, sig) == ts.inverse(th, r)
 
 
 def test_domains_recorded(fitted):
@@ -73,8 +74,8 @@ def test_round_trip(fitted):
     _, _, _, ts = fitted
     again = transforms.TransformSet.from_dict(ts.to_dict())
     th, r = 0.4, 1.1
-    assert again.phi(th, r) == ts.phi(th, r)
-    assert again.sigma(th, r) == ts.sigma(th, r)
+    assert again.inverse(th, r) == ts.inverse(th, r)
+    assert again.forward(th, r) == ts.forward(th, r)
 
 
 def test_too_few_samples_rejected(fitted):

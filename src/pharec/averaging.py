@@ -43,7 +43,6 @@ class ObservableDeviation:
 
     times: np.ndarray
     rho: np.ndarray
-    cutoff_index: int            # last index before the precision floor
     window: tuple[int, int]      # [i1, i2], i2 - i1 spans two periods
     period: float
 
@@ -94,8 +93,7 @@ def observable_deviation(trajectory: ode.Trajectory, cycle: LimitCycle) -> Obser
     if periods < 2:
         raise TooShort("fewer than two periods above the precision floor")
     return ObservableDeviation(times=trajectory.times, rho=rho,
-                               cutoff_index=int(i2), window=(int(i1), int(i2)),
-                               period=cycle.period)
+                               window=(int(i1), int(i2)), period=cycle.period)
 
 
 def refine_lambda(dev: ObservableDeviation, lambda0: float) -> float:

@@ -33,10 +33,6 @@ class ComplexMultiplier(PharecError):
     """Nontrivial Floquet multiplier is negative or complex."""
 
 
-class DegenerateDesign(PharecError):
-    """Rank-deficient design matrix with no regularization."""
-
-
 class ShapeMismatch(PharecError):
     """Design/target dimensions are inconsistent."""
 

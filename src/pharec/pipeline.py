@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -149,20 +149,7 @@ class PipelineConfig:
         return GAMMA_HARMONICS[self.model["kind"]]
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model, "out_dir": self.out_dir, "seed": self.seed,
-            "n_trials": self.n_trials, "trial_periods": self.trial_periods,
-            "radial_span": list(self.radial_span),
-            "ic_angles": self.ic_angles, "ic_radii": self.ic_radii,
-            "single_orders": list(self.single_orders),
-            "transform_orders": (None if self.transform_orders is None
-                                 else list(self.transform_orders)),
-            "pair_orders": list(self.pair_orders),
-            "reduced_orders": list(self.reduced_orders),
-            "gamma_harmonics": self.gamma_harmonics,
-            "grid_points": self.grid_points, "grid_seed": self.grid_seed,
-            "row_budget": self.row_budget, "tolerances": self.tolerances,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -276,8 +263,8 @@ def stage_reduce(config: PipelineConfig) -> dict:
                                  "transforms")
     tsets = [TransformSet.from_dict(o["transforms"]) for o in tr_doc["oscillators"]]
     grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    stats = [(float(c.gamma_at(grid).min()), float(c.gamma_at(grid).max()))
-             for c in cycles]
+    stats = [(float(g.min()), float(g.max()))
+             for g in (c.gamma_at(grid) for c in cycles)]
     grid_seed = config.grid_seed if config.grid_seed is not None else config.seed + 1
     rc = coupling.reduce_network_coupling(
         nvf, tsets, stats, [c.omega for c in cycles], [c.lam for c in cycles],

@@ -165,25 +165,30 @@ def test_relaxation_coupling_is_near_rank_one(pipeline_runs):
 
 
 def test_regularization_unit_properties():
+    def spectrum(design, y):
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        return s, vt, u.T @ y
+
     rng = np.random.default_rng(0)
     # kappa = 0 equals ordinary least squares.
     design = rng.normal(size=(50, 8))
     targets = rng.normal(size=50)
-    fit = ridge.ridge_fit(design, targets, kappa=0.0)
+    coef = ridge._coefficients(*spectrum(design, targets), 0.0)
     ref, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    assert np.abs(fit.coefficients - ref).max() < 1e-10
+    assert np.abs(coef - ref).max() < 1e-10
     # Monotone shrinkage on 100 random problems.
     for seed in range(100):
         r2 = np.random.default_rng(seed)
         d = r2.normal(size=(25, 6))
         y = r2.normal(size=25)
-        norms = [np.linalg.norm(ridge.ridge_fit(d, y, kappa=k).coefficients)
+        norms = [np.linalg.norm(ridge._coefficients(*spectrum(d, y), k))
                  for k in np.geomspace(1e-6, 1e3, 10)]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
     # Identity design: the selection score is constant in kappa.
     y = rng.normal(size=30)
-    ctx = ridge.svd_context(np.eye(30), y)
-    scores = [ridge.gcv_score(ctx, k) for k in np.geomspace(1e-8, 1e8, 25)]
+    s, _, u_t_y = spectrum(np.eye(30), y)
+    scores = [ridge._select(s, u_t_y, float(y @ y), 30, [k])[0]
+              for k in np.geomspace(1e-8, 1e8, 25)]
     assert np.ptp(scores) < 1e-10
 
 

@@ -56,11 +56,16 @@ def read_json(path: str, schema: str) -> dict:
 
 def write_rows(path: str, rows, header: list[str] | None = None):
     """Write a 2-d array as CSV, each value as ``%.17g``, under an optional
-    header line of column names."""
+    header line of column names (the bytes of ``np.savetxt``, formatted by
+    one ``%`` operation instead of one per row)."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    text = line * rows.shape[0] % tuple(rows.ravel())
     try:
-        np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g",
-                   delimiter=",", comments="",
-                   header="" if header is None else ",".join(header))
+        with open(path, "w") as fh:
+            if header:
+                fh.write(",".join(header) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -200,20 +200,25 @@ def fit_network_vf(trial_set: TrialSet, single_spec: SingleBasisSpec,
     _check_coverage(th)
     n_osc = th.shape[1]
     uncoupled, coupling, diagnostics = {}, {}, {}
+    # One design buffer for every oscillator, refilled block by block, so no
+    # second design is alive while the next one is built.
+    design = np.empty((th.shape[0],
+                       single_spec.size + (n_osc - 1) * pair_spec.size))
     for i in range(n_osc):
         others = [j for j in range(n_osc) if j != i]
-        # One expression, so no list keeps the row blocks alive through the SVD.
-        design = np.concatenate(
-            [single_row(single_spec, th[:, i], r[:, i])]
-            + [pair_row(pair_spec, th[:, i], r[:, i], th[:, j], r[:, j])
-               for j in others], axis=1)
+        # (oscillator j, first column of its pairwise block)
+        blocks = [(j, single_spec.size + pos * pair_spec.size)
+                  for pos, j in enumerate(others)]
+        design[:, :single_spec.size] = single_row(single_spec, th[:, i], r[:, i])
+        for j, lo in blocks:
+            design[:, lo:lo + pair_spec.size] = pair_row(
+                pair_spec, th[:, i], r[:, i], th[:, j], r[:, j])
         targets = np.stack([dth[:, i], dr[:, i]], axis=1)
         fits = ridge_fit_multi(design, targets)
         for comp, fit in zip(COMPONENTS, fits):
             q = fit.coefficients
             uncoupled[(i, comp)] = FittedSeries(single_spec, q[:single_spec.size])
-            for pos, j in enumerate(others):
-                lo = single_spec.size + pos * pair_spec.size
+            for j, lo in blocks:
                 coupling[(i, j, comp)] = FittedSeries(
                     pair_spec, q[lo:lo + pair_spec.size])
             diagnostics[f"{i}:{comp}"] = {

@@ -184,10 +184,11 @@ def test_regularization_unit_properties():
         norms = [np.linalg.norm(ridge._coefficients(*spectrum(d, y), k))
                  for k in np.geomspace(1e-6, 1e3, 10)]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
-    # Identity design: the selection score is constant in kappa.
+    # Identity design: the selection score is constant in kappa.  It spans
+    # every target, so no energy lies out of span.
     y = rng.normal(size=30)
     s, _, u_t_y = spectrum(np.eye(30), y)
-    scores = [ridge._select(s, u_t_y, float(y @ y), 30, [k])[0]
+    scores = [ridge._select(s, u_t_y, 0.0, 30, [k])[0]
               for k in np.geomspace(1e-8, 1e8, 25)]
     assert np.ptp(scores) < 1e-10
 

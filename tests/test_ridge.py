@@ -13,9 +13,12 @@ def random_problem(seed, n=60, m=12):
 
 
 def spectrum(design, targets):
-    """What the engine works from: s, V^T, U^T y, ||y||^2 and N."""
+    """What the engine works from: s, V^T, U^T y, the out-of-span energy
+    ||y - U U^T y||^2 and N."""
     u, s, vt = np.linalg.svd(design, full_matrices=False)
-    return s, vt, u.T @ targets, float(targets @ targets), design.shape[0]
+    u_t_y = u.T @ targets
+    perp = targets - u @ u_t_y
+    return s, vt, u_t_y, float(perp @ perp), design.shape[0]
 
 
 def coefficients_at(design, targets, kappa):
@@ -24,8 +27,8 @@ def coefficients_at(design, targets, kappa):
 
 
 def select(design, targets, grid):
-    s, _, u_t_y, y_norm_sq, n_rows = spectrum(design, targets)
-    return ridge._select(s, u_t_y, y_norm_sq, n_rows, grid)
+    s, _, u_t_y, perp_sq, n_rows = spectrum(design, targets)
+    return ridge._select(s, u_t_y, perp_sq, n_rows, grid)
 
 
 def gcv_at(design, targets, kappa):
@@ -125,3 +128,85 @@ def test_selected_kappa_minimizes_gcv_on_grid():
     s, *_ = spectrum(design, targets)
     for k in ridge._kappa_grid(s, *design.shape):
         assert fit.gcv_value <= gcv_at(design, targets, float(k)) + 1e-15
+
+
+def test_out_of_span_residual_is_exact():
+    # ||A x|| = 1e5 in span, 1e-5 out of span: ||y||^2 - ||U^T y||^2 would
+    # cancel to rounding noise, while R's target block keeps the 1e-5.
+    rng = np.random.default_rng(11)
+    design = rng.normal(size=(200, 10))
+    fitted = design @ rng.normal(size=10)
+    fitted *= 1e5 / np.linalg.norm(fitted)
+    q = rng.normal(size=200)
+    q -= design @ np.linalg.lstsq(design, q, rcond=None)[0]
+    q /= np.linalg.norm(q)
+    fit = ridge.ridge_fit(design, fitted + 1e-5 * q)
+    assert fit.kappa == 0.0
+    assert fit.residual_norm == pytest.approx(1e-5, rel=1e-4)
+    multi = ridge.ridge_fit_multi(
+        design, np.stack([fitted + 1e-5 * q, -fitted + 3e-5 * q], axis=1))
+    assert [f.kappa for f in multi] == [0.0, 0.0]
+    assert [f.residual_norm for f in multi] == pytest.approx([1e-5, 3e-5], rel=1e-4)
+
+
+def dense_reference(design, y):
+    """(coefficients, kappa, gcv, residual) through a thin SVD of the design,
+    with the GCV scan written out and the out-of-span part of y projected
+    out explicitly."""
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    u_t_y = u.T @ y
+    perp = y - u @ u_t_y
+    best = None
+    for k in ridge._kappa_grid(s, *design.shape):
+        damp = np.zeros_like(s) if k == 0.0 else k / (s ** 2 + k)
+        tau = design.shape[0] - s.size + np.sum(damp)
+        if tau <= 1e-12:
+            continue
+        resid_sq = np.sum((damp * u_t_y) ** 2) + perp @ perp
+        gcv = resid_sq / tau ** 2
+        if best is None or gcv < best[1] or (gcv == best[1] and k > best[0]):
+            best = (k, gcv, np.sqrt(resid_sq))
+    k, gcv, resid = best
+    filt = 1.0 / s if k == 0.0 else s / (s ** 2 + k)
+    return vt.T @ (filt * u_t_y), k, gcv, resid
+
+
+def reference_designs():
+    rng = np.random.default_rng(13)
+    for n, m in [(60, 12), (200, 10), (8192, 12), (8193, 12), (20000, 12)]:
+        design = rng.normal(size=(n, m))
+        # Noise of 1 and of 1e-3: a shrunk fit and (near) least squares.
+        noise = np.array([[1.0], [1e-3]]) * rng.normal(size=(2, n))
+        yield design, design @ rng.normal(size=m) + noise
+        # Rank-deficient: duplicated columns.
+        bad = np.concatenate([design, design[:, :3]], axis=1)
+        yield bad, bad @ rng.normal(size=m + 3) + 0.1 * rng.normal(size=(n, 2)).T
+    yield rng.normal(size=(15, 15)), rng.normal(size=(2, 15))        # square
+    yield rng.normal(size=(9, 14)), rng.normal(size=(2, 9))          # underdetermined
+    yield np.zeros((30, 5)), rng.normal(size=(2, 30))                # all zero
+
+
+def test_engine_matches_dense_svd_reference():
+    for design, ys in reference_designs():
+        fits = [ridge.ridge_fit(design, ys[0])] + ridge.ridge_fit_multi(design, ys.T)
+        for fit, y in zip(fits, [ys[0], ys[0], ys[1]]):
+            coef, kappa, gcv, resid = dense_reference(design, y)
+            # The same grid candidate: the grid scales with s_1^2, which the
+            # two factorizations agree on to rounding.
+            assert fit.kappa == pytest.approx(kappa, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(fit.coefficients, coef, rtol=1e-9,
+                                       atol=1e-9 * np.abs(coef).max())
+            assert fit.gcv_value == pytest.approx(gcv, rel=1e-9)
+            assert fit.residual_norm == pytest.approx(resid, rel=1e-9)
+
+
+def test_rerun_is_bitwise_identical():
+    rng = np.random.default_rng(17)
+    design = rng.normal(size=(20000, 30))
+    targets = rng.normal(size=(20000, 2))
+    first = ridge.ridge_fit_multi(design, targets)
+    again = ridge.ridge_fit_multi(design.copy(), targets.copy())
+    for a, b in zip(first, again):
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert (a.kappa, a.gcv_value, a.residual_norm) == (
+            b.kappa, b.gcv_value, b.residual_norm)

@@ -66,3 +66,17 @@ def test_heatmap_csv(tmp_path):
     mat = np.array([[1.0, -0.5], [0.25, 3.0]])
     serialize.write_heatmap_csv(path, mat)
     np.testing.assert_array_equal(np.loadtxt(path, delimiter=","), mat)
+
+
+def test_write_rows_bytes_match_savetxt(tmp_path):
+    rng = np.random.default_rng(9)
+    for shape in [(3, 1), (7, 3), (400, 5)]:
+        rows = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        rows.flat[:3] = [-0.0, 5e-324, 1e300]
+        header = [f"c{k}" for k in range(shape[1])]
+        for names, kwargs in [(header, {"header": ",".join(header), "comments": ""}),
+                              (None, {})]:
+            got, want = str(tmp_path / "got.csv"), str(tmp_path / "want.csv")
+            serialize.write_rows(got, rows, names)
+            np.savetxt(want, rows, fmt="%.17g", delimiter=",", **kwargs)
+            assert open(got, "rb").read() == open(want, "rb").read()

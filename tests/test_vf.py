@@ -103,3 +103,38 @@ def test_coverage_check_rejects_arc_data():
     theta = np.full((100, 1), 0.5) + np.linspace(0, 0.1, 100)[:, None]
     with pytest.raises(InsufficientCoverage):
         vfr._check_coverage(theta)
+
+
+def test_design_buffer_gives_the_bits_of_a_fresh_design():
+    # Three oscillators, so each refill of the shared design buffer rewrites
+    # two pairwise blocks; a stale or shifted block changes the coefficients.
+    rng = np.random.default_rng(8)
+    t = np.arange(1500) * 0.01
+    trials = []
+    for _ in range(3):
+        omega = rng.uniform(0.9, 1.7, size=3)
+        theta = omega * t[:, None] + rng.uniform(0, 2 * np.pi, size=3)
+        r = 1.0 + 0.2 * np.sin(rng.uniform(0.3, 2.0, size=3) * t[:, None]
+                               + rng.uniform(0, 2 * np.pi, size=3))
+        trials.append(vfr.Trial(times=t, theta=theta, r=r))
+    trial_set = vfr.TrialSet(trials=trials, step=0.01)
+    single = SingleBasisSpec(2, 2)
+    pair = PairBasisSpec(1, 1, 1, "observable")
+    nvf = vfr.fit_network_vf(trial_set, single, pair, row_budget=2000)
+
+    from pharec.basis import pair_row, single_row
+    from pharec.ridge import ridge_fit_multi
+    th, r, dth, dr = vfr._pooled_arrays(trial_set, 2000)
+    for i in range(3):
+        others = [j for j in range(3) if j != i]
+        design = np.concatenate(
+            [single_row(single, th[:, i], r[:, i])]
+            + [pair_row(pair, th[:, i], r[:, i], th[:, j], r[:, j]) for j in others],
+            axis=1)
+        fits = ridge_fit_multi(design, np.stack([dth[:, i], dr[:, i]], axis=1))
+        for comp, fit in zip(vfr.COMPONENTS, fits):
+            got = np.concatenate([nvf.uncoupled[(i, comp)].coefficients]
+                                 + [nvf.coupling[(i, j, comp)].coefficients
+                                    for j in others])
+            assert np.array_equal(got, fit.coefficients)
+            assert nvf.diagnostics[f"{i}:{comp}"]["kappa"] == fit.kappa

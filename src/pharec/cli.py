@@ -9,6 +9,7 @@ numerical error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -58,25 +59,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> pipeline.PipelineConfig:
+    """Read the config and apply ``--out``/``--seed``; every value is validated."""
+    overrides = {}
     if args.from_dir:
         path = os.path.join(args.from_dir, "config.json")
-        doc = serialize.read_json(path, "config")
-        config = pipeline.PipelineConfig.from_dict(doc)
-        config.out_dir = args.from_dir
+        overrides["out_dir"] = args.from_dir
     elif args.config:
-        doc = serialize.read_json(args.config, "config")
-        config = pipeline.PipelineConfig.from_dict(doc)
+        path = args.config
     else:
         raise InvalidConfig("config", "need --config or --from")
+    config = pipeline.PipelineConfig.from_dict(serialize.read_json(path, "config"))
     if args.out:
-        config.out_dir = args.out
+        overrides["out_dir"] = args.out
     if args.seed is not None:
-        config.seed = args.seed
-    return config
+        overrides["seed"] = args.seed
+    return dataclasses.replace(config, **overrides)
 
 
 def run_extract(args) -> int:
     data = serialize.read_rows(args.input)
+    if data.ndim != 2 or data.shape[0] < 2:
+        raise IoError(f"{args.input}: need t,value columns and at least two rows")
     signal = signal_extract.RawSignal(times=data[:, 0], values=data[:, 1])
     theta, r, edge = signal_extract.extract_phase_amplitude(signal)
     serialize.write_rows(args.out, np.stack([data[:, 0], theta, r, edge], axis=1),

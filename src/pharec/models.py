@@ -173,9 +173,14 @@ def _field(kind: str, p: dict, u, v, drive):
     ``p`` maps parameter names to scalars or to arrays over oscillators.
     Squares are written as products: NumPy scalars square through C ``pow``,
     arrays through ``x * x``, and the two can differ in the last bit.
+
+    Every Jacobian is the complex step of this formula, so it must stay
+    complex-analytic in ``(u, v)``: no ``abs``, no cast to float and no branch
+    on values other than the radius check.  That check still fires on a
+    complex probe, whose unperturbed entries carry the real radius.
     """
     if kind in _POLAR_KINDS:
-        if np.any(v <= 0):
+        if (v <= 0).any():
             raise NonPositiveRadius("polar model evaluated at r <= 0")
         if kind == RADIAL_ISOCHRON_CLOCK:
             return (1.0 + drive * np.cos(u) / v,
@@ -220,60 +225,44 @@ def network_vf(spec: ModelSpec):
 
 def uncoupled_vf(spec: ModelSpec, i: int):
     """Planar vector field of oscillator ``i`` with coupling removed."""
-    p = {k: spec.param(k, i) for k in spec.params}
+    return _planar_vf(_uncoupled_field(spec, i))
 
+
+def uncoupled_jacobian(spec: ModelSpec, i: int):
+    """2x2 Jacobian of ``uncoupled_vf(spec, i)``: the complex step of ``_field``."""
+    return _complex_step_jacobian(_uncoupled_field(spec, i))
+
+
+def _uncoupled_field(spec: ModelSpec, i: int):
+    """``(u, v) -> (du/dt, dv/dt)`` of oscillator ``i`` with coupling removed."""
+    kind = spec.kind
+    p = {k: spec.param(k, i) for k in spec.params}
+    return lambda u, v: _field(kind, p, u, v, 0.0)
+
+
+def _planar_vf(field):
     def vf(state):
         state = np.asarray(state, dtype=float)
-        return np.stack(_field(spec.kind, p, state[..., 0], state[..., 1], 0.0),
-                        axis=-1)
+        return np.stack(field(state[..., 0], state[..., 1]), axis=-1)
 
     return vf
 
 
-def uncoupled_jacobian(spec: ModelSpec, i: int):
-    """Analytic 2x2 Jacobian of the uncoupled oscillator, native coordinates."""
-    kind = spec.kind
-    if kind == RADIAL_ISOCHRON_CLOCK:
-        a = spec.param("a", i)
+_COMPLEX_STEP = 1e-30
+_PROBES = 1j * _COMPLEX_STEP * np.eye(2)
 
-        def jac(state):
-            r = state[1]
-            return np.array([[0.0, 0.0], [0.0, a * (1.0 - 3.0 * r ** 2)]])
 
-        return jac
-    if kind == CANONICAL:
-        a = spec.param("a", i)
-        alpha = spec.param("alpha", i)
+def _complex_step_jacobian(field):
+    """2x2 Jacobian of a planar ``field`` by the complex step (Squire & Trapp 1998).
 
-        def jac(state):
-            r = state[1]
-            return np.array([[0.0, 2.0 * alpha * a * r],
-                             [0.0, alpha * (1.0 - 3.0 * r ** 2)]])
+    One call on the probes ``state + i*h*e_k`` gives ``J[:, k] = Im f / h``.
+    Nothing is subtracted, so J is exact to rounding for any h this small.
+    """
+    def jac(state):
+        probe = np.asarray(state, dtype=float) + _PROBES
+        return np.array(field(probe[:, 0], probe[:, 1])).imag / _COMPLEX_STEP
 
-        return jac
-    if kind == VAN_DER_POL:
-        mu = spec.param("mu", i)
-
-        def jac(state):
-            x, y = state
-            return np.array([[0.0, 1.0],
-                             [-2.0 * mu * x * y - 1.0, mu * (1.0 - x ** 2)]])
-
-        return jac
-    if kind == WILSON_COWAN:
-        a, b = spec.param("a", i), spec.param("b", i)
-        c, d = spec.param("c", i), spec.param("d", i)
-        rx, ry = spec.param("rho_x", i), spec.param("rho_y", i)
-
-        def jac(state):
-            x, y = state
-            su = sigmoid(rx + a * x - b * y)
-            sv = sigmoid(ry + c * x - d * y)
-            du, dv = su * (1 - su), sv * (1 - sv)
-            return np.array([[-1 + a * du, -b * du], [c * dv, -1 - d * dv]])
-
-        return jac
-    raise UnknownKind(f"unknown model kind {kind!r}")
+    return jac
 
 
 @dataclass(frozen=True)
@@ -351,52 +340,35 @@ def estimate_frame(spec: ModelSpec, i: int) -> ObservableFrame:
                            orientation=orientation)
 
 
-def polar_uncoupled_vf(spec: ModelSpec, i: int, frame: ObservableFrame | None = None):
-    """Uncoupled vector field in observable polar coordinates ``(theta, r)``."""
+def _polar_field(spec: ModelSpec, i: int, frame: ObservableFrame | None):
+    """``(theta, r) -> (dtheta/dt, dr/dt)`` of oscillator ``i``, uncoupled, in ``frame``."""
+    native = _uncoupled_field(spec, i)
     if spec.kind in _POLAR_KINDS:
-        return uncoupled_vf(spec, i)
+        return native
     if frame is None:
         raise ValueError("Cartesian kinds require an observable frame")
-    p = {k: spec.param(k, i) for k in spec.params}
     s = frame.orientation
     cx, cy = frame.center
 
-    def vf(state):
-        state = np.asarray(state, dtype=float)
-        theta = state[..., 0]
-        r = state[..., 1]
+    def field(theta, r):
         ang = s * theta
         ca, sa = np.cos(ang), np.sin(ang)
-        fx, fy = _field(spec.kind, p, cx + r * ca, cy + r * sa, 0.0)
-        dr = fx * ca + fy * sa
-        dtheta = s * (fy * ca - fx * sa) / r
-        return np.stack([dtheta, dr], axis=-1)
+        fx, fy = native(cx + r * ca, cy + r * sa)
+        return s * (fy * ca - fx * sa) / r, fx * ca + fy * sa
 
-    return vf
+    return field
+
+
+def polar_uncoupled_vf(spec: ModelSpec, i: int, frame: ObservableFrame | None = None):
+    """Uncoupled vector field in observable polar coordinates ``(theta, r)``."""
+    return _planar_vf(_polar_field(spec, i, frame))
 
 
 def polar_uncoupled_jacobian(spec: ModelSpec, i: int,
                              frame: ObservableFrame | None = None):
-    """Jacobian of the polar uncoupled vector field.
-
-    Analytic for natively polar kinds; central finite differences (step 1e-6)
-    of the converted field otherwise.
-    """
-    if spec.kind in _POLAR_KINDS:
-        return uncoupled_jacobian(spec, i)
-    vf = polar_uncoupled_vf(spec, i, frame)
-    h = 1e-6
-
-    def jac(state):
-        state = np.asarray(state, dtype=float)
-        out = np.empty((2, 2))
-        for k in range(2):
-            dp = np.zeros(2)
-            dp[k] = h
-            out[:, k] = (vf(state + dp) - vf(state - dp)) / (2.0 * h)
-        return out
-
-    return jac
+    """2x2 Jacobian of ``polar_uncoupled_vf``: the complex step of the same field,
+    so on Cartesian kinds the frame map's chain rule is exact to rounding too."""
+    return _complex_step_jacobian(_polar_field(spec, i, frame))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ pipeline's files byte for byte.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -78,6 +80,22 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# Integer fields and their smallest valid value; ``_OPTIONAL`` ones may be None.
+_INT_MINIMUMS = {"seed": 0, "n_trials": 1, "ic_angles": 1, "ic_radii": 1,
+                 "grid_points": 10, "grid_seed": 0, "row_budget": 1,
+                 "gamma_harmonics": 1}
+_OPTIONAL = ("grid_seed", "gamma_harmonics")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 @dataclass
 class PipelineConfig:
     model: dict
@@ -99,23 +117,28 @@ class PipelineConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise InvalidConfig("n_trials", "must be at least 1")
-        if self.trial_periods <= 0:
+        for key, low in _INT_MINIMUMS.items():
+            value = getattr(self, key)
+            if not (_is_int(value) and value >= low or value is None and key in _OPTIONAL):
+                raise InvalidConfig(key, f"must be an integer of at least {low}")
+        if not (_is_finite(self.trial_periods) and self.trial_periods > 0):
             raise InvalidConfig("trial_periods", "must be positive")
-        if self.grid_points < 10:
-            raise InvalidConfig("grid_points", "must be at least 10")
-        if not (0 < self.radial_span[0] < self.radial_span[1]):
-            raise InvalidConfig("radial_span", "need 0 < lo < hi")
-        for key in ("ic_angles", "ic_radii", "row_budget"):
-            if getattr(self, key) < 1:
-                raise InvalidConfig(key, "must be at least 1")
+        span = self.radial_span
+        if not (len(span) == 2 and all(map(_is_finite, span)) and 0 < span[0] < span[1]):
+            raise InvalidConfig("radial_span", "need two numbers 0 < lo < hi")
         for key in ("single_orders", "transform_orders", "pair_orders",
                     "reduced_orders"):
+            orders = getattr(self, key)
+            if orders is not None and not all(map(_is_int, orders)):
+                raise InvalidConfig(key, "orders must be integers")
             try:
                 getattr(self, key.replace("_orders", "_spec"))
             except (TypeError, ValueError) as exc:
                 raise InvalidConfig(key, str(exc)) from exc
+        tol = self.tolerances if isinstance(self.tolerances, dict) else {}
+        bad = [k for k in DEFAULT_TOLERANCES if not _is_finite(tol.get(k))]
+        if bad:
+            raise InvalidConfig("tolerances", f"need a finite number for {', '.join(bad)}")
         try:
             models.ModelSpec.from_dict(self.model)
         except Exception as exc:
@@ -155,11 +178,11 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)
         d.pop("schema", None)
-        for key in ("radial_span", "single_orders", "transform_orders",
-                    "pair_orders", "reduced_orders"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
         try:
+            for key in ("radial_span", "single_orders", "transform_orders",
+                        "pair_orders", "reduced_orders"):
+                if d.get(key) is not None:
+                    d[key] = tuple(d[key])
             return cls(**d)
         except TypeError as exc:
             raise InvalidConfig("config", str(exc)) from exc

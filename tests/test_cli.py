@@ -28,6 +28,29 @@ def test_invalid_config_value_is_usage_error(tmp_path):
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_USAGE
 
 
+def test_bad_seed_override_leaves_config_untouched(tmp_path, capsys):
+    """--seed -1 is rejected with exit 2 before config.json is rewritten."""
+    from pharec import pipeline, serialize
+    doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
+    serialize.write_json(str(tmp_path / "config.json"), doc, "config")
+    before = (tmp_path / "config.json").read_bytes()
+    assert cli.main(["simulate", "--from", str(tmp_path), "--seed", "-1"]) \
+        == cli.EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    assert (tmp_path / "config.json").read_bytes() == before
+
+
+def test_extract_rejects_one_column_or_one_row(tmp_path, capsys):
+    for name, body in (("column.csv", "t\n0.0\n0.1\n0.2\n"),
+                       ("row.csv", "t,value\n0.0,1.0\n")):
+        src = tmp_path / name
+        src.write_text(body)
+        out = tmp_path / "out.csv"
+        assert cli.main(["extract", str(src), "--out", str(out)]) == cli.EXIT_USAGE
+        assert "at least two rows" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_extract_subcommand(tmp_path):
     t = np.arange(0, 60.0, 0.01)
     src = tmp_path / "signal.csv"

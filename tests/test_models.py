@@ -108,6 +108,84 @@ def test_jacobians_match_finite_differences():
             np.testing.assert_allclose(jac(state), num, atol=1e-6)
 
 
+def _reference_jacobian(spec, i, state):
+    """Hand-derived Jacobian of oscillator i's uncoupled equations."""
+    p = {k: spec.param(k, i) for k in spec.params}
+    u, v = state
+    if spec.kind == "radial_isochron_clock":
+        return np.array([[0.0, 0.0], [0.0, p["a"] * (1.0 - 3.0 * v ** 2)]])
+    if spec.kind == "canonical":
+        return np.array([[0.0, 2.0 * p["alpha"] * p["a"] * v],
+                         [0.0, p["alpha"] * (1.0 - 3.0 * v ** 2)]])
+    if spec.kind == "van_der_pol":
+        mu = p["mu"]
+        return np.array([[0.0, 1.0], [-2.0 * mu * u * v - 1.0, mu * (1.0 - u ** 2)]])
+    su = models.sigmoid(p["rho_x"] + p["a"] * u - p["b"] * v)
+    sv = models.sigmoid(p["rho_y"] + p["c"] * u - p["d"] * v)
+    du, dv = su * (1 - su), sv * (1 - sv)
+    return np.array([[-1 + p["a"] * du, -p["b"] * du],
+                     [p["c"] * dv, -1 - p["d"] * dv]])
+
+
+def _polar_reference_jacobian(spec, i, frame, state):
+    """Chain rule: the reference Cartesian Jacobian through the frame map."""
+    s, (cx, cy) = frame.orientation, frame.center
+    theta, r = state
+    ca, sa = np.cos(s * theta), np.sin(s * theta)
+    xy = np.array([cx + r * ca, cy + r * sa])
+    fx, fy = models.uncoupled_vf(spec, i)(xy)
+    d_xy = np.array([[-s * r * sa, ca], [s * r * ca, sa]])   # d(x, y)/d(theta, r)
+    (fx_t, fx_r), (fy_t, fy_r) = _reference_jacobian(spec, i, xy) @ d_xy
+    return np.array([
+        [s * (fy_t * ca - fx_t * sa - s * (fy * sa + fx * ca)) / r,
+         s * (fy_r * ca - fx_r * sa) / r - s * (fy * ca - fx * sa) / r ** 2],
+        [fx_t * ca + fy_t * sa + s * (fy * ca - fx * sa), fx_r * ca + fy_r * sa],
+    ])
+
+
+def test_jacobians_exact_to_rounding():
+    """The complex-step Jacobian matches the hand-derived one to rounding."""
+    rng = np.random.default_rng(1)
+    for kind in KINDS:
+        spec = models.default_spec(kind)
+        if kind in ("radial_isochron_clock", "canonical"):
+            states = np.stack([rng.uniform(0.0, 2.0 * np.pi, 200),
+                               rng.uniform(0.05, 2.5, 200)], axis=-1)
+        else:
+            states = rng.uniform(-2.5, 2.5, (200, 2))
+        for i in range(2):
+            jac = models.uncoupled_jacobian(spec, i)
+            for state in states:
+                ref = _reference_jacobian(spec, i, state)
+                err = np.abs(jac(state) - ref).max()
+                assert err <= 1e-14 * max(1.0, np.abs(ref).max()), (kind, i, state)
+
+
+def test_polar_jacobians_of_cartesian_kinds_exact():
+    """On Cartesian kinds the polar Jacobian is the chain rule to 1e-12."""
+    rng = np.random.default_rng(2)
+    for kind, span in (("van_der_pol", (0.5, 3.0)), ("wilson_cowan", (0.1, 0.4))):
+        spec = models.default_spec(kind)
+        for i in range(2):
+            frame = models.estimate_frame(spec, i)
+            jac = models.polar_uncoupled_jacobian(spec, i, frame)
+            states = np.stack([rng.uniform(0.0, 2.0 * np.pi, 100),
+                               rng.uniform(*span, 100)], axis=-1)
+            for state in states:
+                ref = _polar_reference_jacobian(spec, i, frame, state)
+                assert np.abs(jac(state) - ref).max() <= 1e-12, (kind, i, state)
+
+
+def test_polar_jacobian_rejects_nonpositive_radius():
+    for kind in ("radial_isochron_clock", "canonical"):
+        spec = models.default_spec(kind)
+        for jac in (models.uncoupled_jacobian(spec, 1),
+                    models.polar_uncoupled_jacobian(spec, 1, models.ObservableFrame())):
+            for r in (0.0, -0.0, -0.3):
+                with pytest.raises(NonPositiveRadius):
+                    jac(np.array([0.4, r]))
+
+
 def test_wilson_cowan_equilibrium_is_fixed_point():
     spec = models.default_spec("wilson_cowan")
     for i in range(2):

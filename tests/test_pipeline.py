@@ -27,7 +27,17 @@ def test_invalid_values_rejected():
                        ("grid_points", 3), ("radial_span", (1.4, 0.7)),
                        ("ic_angles", 0), ("ic_radii", 0), ("row_budget", 0),
                        ("single_orders", (-1, 5)), ("transform_orders", (4,)),
-                       ("pair_orders", (3, 2, 0)), ("reduced_orders", (2, -1, 2))):
+                       ("pair_orders", (3, 2, 0)), ("reduced_orders", (2, -1, 2)),
+                       ("radial_span", (1.0,)), ("radial_span", (0.7, 1.0, 1.4)),
+                       ("radial_span", (0.7, float("nan"))), ("radial_span", 1.0),
+                       ("n_trials", 2.5), ("ic_angles", 21.0), ("row_budget", "60000"),
+                       ("single_orders", (4.5, 5)), ("pair_orders", (3, 2.0, 2)),
+                       ("seed", -1), ("seed", 1.5), ("grid_seed", -3),
+                       ("gamma_harmonics", 0), ("gamma_harmonics", -1),
+                       ("trial_periods", float("inf")), ("n_trials", True),
+                       ("tolerances", {}), ("tolerances", [1.0]),
+                       ("tolerances", dict(base["tolerances"], sigma_abs=None)),
+                       ("tolerances", dict(base["tolerances"], pde_phi_rel=float("nan")))):
         bad = dict(base)
         bad[key] = value
         with pytest.raises(InvalidConfig):

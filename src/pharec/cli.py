@@ -80,6 +80,8 @@ def run_extract(args) -> int:
     data = serialize.read_rows(args.input)
     if data.ndim != 2 or data.shape[0] < 2:
         raise IoError(f"{args.input}: need t,value columns and at least two rows")
+    if not np.isfinite(data[:, :2]).all():
+        raise IoError(f"{args.input}: every t and value must be a finite number")
     signal = signal_extract.RawSignal(times=data[:, 0], values=data[:, 1])
     theta, r, edge = signal_extract.extract_phase_amplitude(signal)
     serialize.write_rows(args.out, np.stack([data[:, 0], theta, r, edge], axis=1),

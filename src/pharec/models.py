@@ -9,7 +9,7 @@ transformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -218,7 +218,7 @@ def network_vf(spec: ModelSpec):
             signal = u
         else:
             signal = u - x0
-        return np.stack(_field(kind, p, u, v, signal @ eps.T), axis=-1)
+        return _stacked(states, *_field(kind, p, u, v, signal @ eps.T))
 
     return vf
 
@@ -243,9 +243,19 @@ def _uncoupled_field(spec: ModelSpec, i: int):
 def _planar_vf(field):
     def vf(state):
         state = np.asarray(state, dtype=float)
-        return np.stack(field(state[..., 0], state[..., 1]), axis=-1)
+        return _stacked(state, *field(state[..., 0], state[..., 1]))
 
     return vf
+
+
+def _stacked(state: np.ndarray, du, dv) -> np.ndarray:
+    """``np.stack((du, dv), axis=-1)`` of a float field at ``state``, in a fresh
+    float64 array on every call, since ``ode.rk4_step`` holds k1 to k4 at once.
+    The values are only copied, so the bits are ``np.stack``'s."""
+    out = np.empty(state.shape)
+    out[..., 0] = du
+    out[..., 1] = dv
+    return out
 
 
 _COMPLEX_STEP = 1e-30
@@ -312,32 +322,39 @@ def _settle_seed(spec: ModelSpec, i: int) -> np.ndarray:
     return np.array([0.0, 1.2])
 
 
-def estimate_frame(spec: ModelSpec, i: int) -> ObservableFrame:
-    """Observable frame for oscillator ``i``: cycle centroid and rotation sense.
+def estimate_frame(spec: ModelSpec) -> list[ObservableFrame]:
+    """Observable frame of every oscillator: cycle centroid and rotation sense.
 
-    Polar kinds use the identity frame; Cartesian kinds settle the uncoupled
-    oscillator onto its cycle (200 time units at step 0.005) and center polar
-    coordinates at the centroid of an integer number of revolutions.
+    Polar kinds use the identity frame; Cartesian kinds settle all uncoupled
+    oscillators onto their cycles in one lockstep run (200 time units at step
+    0.005) and center each oscillator's polar coordinates at the centroid of
+    an integer number of its revolutions.
     """
+    n = spec.n_oscillators
     if spec.kind in _POLAR_KINDS:
-        return ObservableFrame()
-    vf = uncoupled_vf(spec, i)
-    traj = ode.integrate(vf, _settle_seed(spec, i), 200.0, 0.005)
-    tail = traj.states[traj.states.shape[0] // 2:]
-    center = tail.mean(axis=0)
-    rel = tail - center
-    cross = rel[:-1, 0] * rel[1:, 1] - rel[:-1, 1] * rel[1:, 0]
-    orientation = 1.0 if cross.sum() >= 0 else -1.0
-    # Refine the centroid over an integer number of revolutions.
-    ang = np.unwrap(orientation * np.arctan2(rel[:, 1], rel[:, 0]))
-    total = ang[-1] - ang[0]
-    if total < 4.0 * np.pi:
-        raise NoConvergence("settled trajectory spans fewer than two revolutions")
-    n_rev = int(total // (2.0 * np.pi))
-    stop = np.searchsorted(ang, ang[0] + n_rev * 2.0 * np.pi)
-    center = tail[:stop].mean(axis=0)
-    return ObservableFrame(center=(float(center[0]), float(center[1])),
-                           orientation=orientation)
+        return [ObservableFrame()] * n
+    vf = network_vf(replace(spec, coupling=np.zeros((n, n))))
+    seeds = np.stack([_settle_seed(spec, i) for i in range(n)])
+    states = ode.integrate(vf, seeds, 200.0, 0.005).states
+    frames = []
+    for i in range(n):
+        # A contiguous copy, so the sums take a single-oscillator run's order.
+        tail = np.ascontiguousarray(states[states.shape[0] // 2:, i])
+        center = tail.mean(axis=0)
+        rel = tail - center
+        cross = rel[:-1, 0] * rel[1:, 1] - rel[:-1, 1] * rel[1:, 0]
+        orientation = 1.0 if cross.sum() >= 0 else -1.0
+        # Refine the centroid over an integer number of revolutions.
+        ang = np.unwrap(orientation * np.arctan2(rel[:, 1], rel[:, 0]))
+        total = ang[-1] - ang[0]
+        if total < 4.0 * np.pi:
+            raise NoConvergence("settled trajectory spans fewer than two revolutions")
+        n_rev = int(total // (2.0 * np.pi))
+        stop = np.searchsorted(ang, ang[0] + n_rev * 2.0 * np.pi)
+        center = tail[:stop].mean(axis=0)
+        frames.append(ObservableFrame(center=(float(center[0]), float(center[1])),
+                                      orientation=orientation))
+    return frames
 
 
 def _polar_field(spec: ModelSpec, i: int, frame: ObservableFrame | None):

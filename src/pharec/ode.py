@@ -85,7 +85,7 @@ def integrate(vf, state0, duration: float, step: float) -> Trajectory:
     for i in range(n):
         state = rk4_step(vf, state, step)
         out[i + 1] = state
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise NonFiniteState(f"non-finite state at t={(i + 1) * step}")
     times = np.arange(n + 1) * step
     return Trajectory(times=times, states=out, step_size=step)

@@ -212,8 +212,7 @@ def stage_limit_cycle(config: PipelineConfig) -> dict:
     spec = config.model_spec
     os.makedirs(config.out_dir, exist_ok=True)
     oscillators = []
-    for i in range(spec.n_oscillators):
-        frame = models.estimate_frame(spec, i)
+    for i, frame in enumerate(models.estimate_frame(spec)):
         vf = models.polar_uncoupled_vf(spec, i, frame)
         jac = models.polar_uncoupled_jacobian(spec, i, frame)
         if models.native_coords(spec.kind) == "polar":

@@ -51,6 +51,19 @@ def test_extract_rejects_one_column_or_one_row(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_extract_rejects_non_finite_cells(tmp_path, capsys):
+    """A nan or inf value or a nan time exits 2 with one line, no traceback."""
+    for name, bad_row in (("nan_value.csv", "0.1,nan"), ("inf_value.csv", "0.1,inf"),
+                          ("nan_time.csv", "nan,1.0")):
+        src = tmp_path / name
+        src.write_text(f"t,value\n0.0,1.0\n{bad_row}\n0.2,1.0\n0.3,2.0\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["extract", str(src), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "finite" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 def test_extract_subcommand(tmp_path):
     t = np.arange(0, 60.0, 0.01)
     src = tmp_path / "signal.csv"

@@ -68,7 +68,7 @@ def test_one_formula_behind_every_field():
     rng = np.random.default_rng(0)
     for kind in KINDS:
         spec = models.default_spec(kind)
-        frames = [models.estimate_frame(spec, i) for i in range(2)]
+        frames = models.estimate_frame(spec)
         if kind in ("van_der_pol", "wilson_cowan"):
             center = np.array([f.center for f in frames])
             states = center + 0.2 * rng.standard_normal((5, 2, 2))
@@ -90,6 +90,72 @@ def test_one_formula_behind_every_field():
                               rng.uniform(*span, 4000)], axis=-1)
             single = np.stack([vf(s) for s in batch])
             assert np.array_equal(single, vf(batch))
+
+
+def _network_signal(spec, states):
+    """The coupling signal of each oscillator, as ``network_vf`` documents it."""
+    u, v = states[..., 0], states[..., 1]
+    if spec.kind == "radial_isochron_clock":
+        return v * np.sin(u)
+    if spec.kind == "canonical":
+        return v * np.cos(u)
+    if spec.kind == "van_der_pol":
+        return u
+    return u - np.array([models.wc_equilibrium(spec, i)[0] for i in range(2)])
+
+
+def test_field_outputs_are_fresh_stacks_of_the_formula():
+    """Every field factory returns, bit for bit, ``np.stack`` of the formula's
+    two components, in a new float64 array of the state's shape per call."""
+    rng = np.random.default_rng(4)
+    for kind in KINDS:
+        spec = models.default_spec(kind)
+        frames = models.estimate_frame(spec)
+        p = {k: np.asarray(v) for k, v in spec.params.items()}
+        span = (0.1, 0.4) if kind == "wilson_cowan" else (0.5, 1.5)
+
+        def polar_states(shape):
+            return np.stack([rng.uniform(0.0, 2.0 * np.pi, shape),
+                             rng.uniform(*span, shape)], axis=-1)
+
+        def native_states(shape, center):
+            if kind in ("radial_isochron_clock", "canonical"):
+                return polar_states(shape)
+            return np.asarray(center) + 0.3 * rng.standard_normal(shape + (2,))
+
+        centers = [f.center for f in frames]
+        cases = [(models.network_vf(spec),
+                  lambda s: models._field(kind, p, s[..., 0], s[..., 1],
+                                          _network_signal(spec, s) @ spec.coupling.T),
+                  native_states(shape, centers)) for shape in ((2,), (7, 2))]
+        for i in range(2):
+            for vf, field, states in (
+                    (models.uncoupled_vf(spec, i), models._uncoupled_field(spec, i),
+                     lambda shape: native_states(shape, centers[i])),
+                    (models.polar_uncoupled_vf(spec, i, frames[i]),
+                     models._polar_field(spec, i, frames[i]), polar_states)):
+                cases += [(vf, lambda s, f=field: f(s[..., 0], s[..., 1]), states(shape))
+                          for shape in ((), (9,), (3, 4))]
+        for vf, components, state in cases:
+            out = vf(state)
+            assert out.dtype == np.float64 and out.shape == state.shape
+            assert np.array_equal(out, np.stack(components(state), axis=-1))
+            assert not np.shares_memory(out, vf(state))
+
+
+def test_lockstep_frames_keep_single_run_bits():
+    """One settle run for all oscillators gives each oscillator's frame of a
+    single-oscillator run to the last bit."""
+    pinned = {
+        "van_der_pol": [((4.330168573173501e-05, 6.454414212731263e-05), -1.0),
+                        ((-2.823588468070389e-05, 8.68898110069773e-05), -1.0)],
+        "wilson_cowan": [((0.5794512733264336, 0.517884417096608), 1.0),
+                         ((0.6068150974653551, 0.5251665729465371), 1.0)],
+    }
+    for kind in KINDS:
+        frames = models.estimate_frame(models.default_spec(kind))
+        want = pinned.get(kind, [((0.0, 0.0), 1.0)] * 2)
+        assert [(f.center, f.orientation) for f in frames] == want
 
 
 def test_jacobians_match_finite_differences():
@@ -166,8 +232,9 @@ def test_polar_jacobians_of_cartesian_kinds_exact():
     rng = np.random.default_rng(2)
     for kind, span in (("van_der_pol", (0.5, 3.0)), ("wilson_cowan", (0.1, 0.4))):
         spec = models.default_spec(kind)
+        frames = models.estimate_frame(spec)
         for i in range(2):
-            frame = models.estimate_frame(spec, i)
+            frame = frames[i]
             jac = models.polar_uncoupled_jacobian(spec, i, frame)
             states = np.stack([rng.uniform(0.0, 2.0 * np.pi, 100),
                                rng.uniform(*span, 100)], axis=-1)
@@ -196,12 +263,12 @@ def test_wilson_cowan_equilibrium_is_fixed_point():
 
 def test_frames_polar_identity_cartesian_centered():
     for kind in ("radial_isochron_clock", "canonical"):
-        frame = models.estimate_frame(models.default_spec(kind), 0)
+        frame = models.estimate_frame(models.default_spec(kind))[0]
         assert frame.center == (0.0, 0.0)
         assert frame.orientation == 1.0
-    vdp = models.estimate_frame(models.default_spec("van_der_pol"), 0)
+    vdp = models.estimate_frame(models.default_spec("van_der_pol"))[0]
     assert vdp.orientation == -1.0
-    wc = models.estimate_frame(models.default_spec("wilson_cowan"), 0)
+    wc = models.estimate_frame(models.default_spec("wilson_cowan"))[0]
     assert 0.0 < wc.center[0] < 1.0 and 0.0 < wc.center[1] < 1.0
 
 
@@ -216,7 +283,7 @@ def test_polar_cartesian_round_trip():
 
 def test_polar_field_conversion_consistent():
     spec = models.default_spec("van_der_pol")
-    frame = models.estimate_frame(spec, 0)
+    frame = models.estimate_frame(spec)[0]
     polar_vf = models.polar_uncoupled_vf(spec, 0, frame)
     cart_vf = models.uncoupled_vf(spec, 0)
     state = np.array([1.0, 2.0])

@@ -51,7 +51,9 @@ def test_nonfinite_state_raises():
     def blowup(state):
         return state ** 2
 
-    with pytest.raises(NonFiniteState):
+    # The first non-finite state is the fifth: four steps stay finite.
+    assert np.isfinite(ode.integrate(blowup, np.array([5.0, 5.0]), 0.4, 0.1).states).all()
+    with pytest.raises(NonFiniteState, match=r"^non-finite state at t=0\.5$"):
         ode.integrate(blowup, np.array([5.0, 5.0]), 10.0, 0.1)
 
 

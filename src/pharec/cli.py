@@ -82,6 +82,8 @@ def run_extract(args) -> int:
         raise IoError(f"{args.input}: need t,value columns and at least two rows")
     if not np.isfinite(data[:, :2]).all():
         raise IoError(f"{args.input}: every t and value must be a finite number")
+    if not (np.diff(data[:, 0]) > 0).all():
+        raise IoError(f"{args.input}: the times in column t must strictly increase")
     signal = signal_extract.RawSignal(times=data[:, 0], values=data[:, 1])
     theta, r, edge = signal_extract.extract_phase_amplitude(signal)
     serialize.write_rows(args.out, np.stack([data[:, 0], theta, r, edge], axis=1),

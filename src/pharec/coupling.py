@@ -192,5 +192,4 @@ def heatmap_layout(rc: ReducedCoupling, i: int, j: int, equation: str) -> dict:
         block = coeffs[pos:pos + spec.n_own * spec.n_inp]
         panels[(mi, mj)] = block.reshape(spec.n_own, spec.n_inp).copy()
         pos += spec.n_own * spec.n_inp
-    return {"panels": panels, "row_labels": row_labels, "col_labels": col_labels,
-            "amplitude_order": spec.amplitude_pairs()}
+    return {"panels": panels, "row_labels": row_labels, "col_labels": col_labels}

@@ -398,50 +398,34 @@ class AnalyticGroundTruth:
     quantities should multiply ``sigma`` by ``sigma_scale``.
     """
 
-    kind: str
     lam: float
     omega: float
     sigma_scale: float
-    _phi: object
-    _sigma: object
-    _k_theta: object
-    _k_r: object
-
-    def phi(self, theta, r):
-        return self._phi(np.asarray(theta, dtype=float), np.asarray(r, dtype=float))
-
-    def sigma(self, theta, r):
-        return self._sigma(np.asarray(theta, dtype=float), np.asarray(r, dtype=float))
-
-    def sigma_scaled(self, theta, r):
-        return self.sigma_scale * self.sigma(theta, r)
-
-    def k_theta(self, phi, sigma):
-        return self._k_theta(np.asarray(phi, dtype=float), np.asarray(sigma, dtype=float))
-
-    def k_r(self, phi, sigma):
-        return self._k_r(np.asarray(phi, dtype=float), np.asarray(sigma, dtype=float))
+    phi: object               # (theta, r) -> phase
+    sigma: object             # (theta, r) -> raw amplitude
+    k_theta: object           # (phi, sigma) -> theta
+    k_r: object               # (phi, sigma) -> r
 
 
 def analytic_ground_truth(spec: ModelSpec, i: int) -> AnalyticGroundTruth:
     if spec.kind == RADIAL_ISOCHRON_CLOCK:
         a = spec.param("a", i)
         return AnalyticGroundTruth(
-            kind=spec.kind, lam=-2.0 * a, omega=1.0, sigma_scale=a,
-            _phi=lambda th, r: th + 0.0 * r,
-            _sigma=lambda th, r: (r ** 2 - 1.0) / (2.0 * a * r ** 2) + 0.0 * th,
-            _k_theta=lambda ph, s: ph + 0.0 * s,
-            _k_r=lambda ph, s: 1.0 / np.sqrt(1.0 - 2.0 * a * s) + 0.0 * ph,
+            lam=-2.0 * a, omega=1.0, sigma_scale=a,
+            phi=lambda th, r: th + 0.0 * r,
+            sigma=lambda th, r: (r ** 2 - 1.0) / (2.0 * a * r ** 2) + 0.0 * th,
+            k_theta=lambda ph, s: ph + 0.0 * s,
+            k_r=lambda ph, s: 1.0 / np.sqrt(1.0 - 2.0 * a * s) + 0.0 * ph,
         )
     if spec.kind == CANONICAL:
         a = spec.param("a", i)
         alpha = spec.param("alpha", i)
         return AnalyticGroundTruth(
-            kind=spec.kind, lam=-2.0 * alpha, omega=1.0 + alpha * a, sigma_scale=alpha,
-            _phi=lambda th, r: th + a * np.log(r),
-            _sigma=lambda th, r: (1.0 - 1.0 / r ** 2) / (2.0 * alpha) + 0.0 * th,
-            _k_theta=lambda ph, s: ph + 0.5 * a * np.log(1.0 - 2.0 * alpha * s),
-            _k_r=lambda ph, s: 1.0 / np.sqrt(1.0 - 2.0 * alpha * s) + 0.0 * ph,
+            lam=-2.0 * alpha, omega=1.0 + alpha * a, sigma_scale=alpha,
+            phi=lambda th, r: th + a * np.log(r),
+            sigma=lambda th, r: (1.0 - 1.0 / r ** 2) / (2.0 * alpha) + 0.0 * th,
+            k_theta=lambda ph, s: ph + 0.5 * a * np.log(1.0 - 2.0 * alpha * s),
+            k_r=lambda ph, s: 1.0 / np.sqrt(1.0 - 2.0 * alpha * s) + 0.0 * ph,
         )
     raise NoAnalyticForm(f"no analytic transformation for kind {spec.kind!r}")
 

@@ -80,11 +80,9 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# Integer fields and their smallest valid value; ``_OPTIONAL`` ones may be None.
+# Integer fields and their smallest valid value.
 _INT_MINIMUMS = {"seed": 0, "n_trials": 1, "ic_angles": 1, "ic_radii": 1,
-                 "grid_points": 10, "grid_seed": 0, "row_budget": 1,
-                 "gamma_harmonics": 1}
-_OPTIONAL = ("grid_seed", "gamma_harmonics")
+                 "grid_points": 10, "row_budget": 1}
 
 
 def _is_int(x) -> bool:
@@ -110,16 +108,14 @@ class PipelineConfig:
     transform_orders: tuple[int, int] | None = None
     pair_orders: tuple[int, int, int] = (3, 2, 2)
     reduced_orders: tuple[int, int, int] = (2, 2, 2)
-    gamma_harmonics: int | None = None
     grid_points: int = 4000
-    grid_seed: int | None = None
     row_budget: int = 60000
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
         for key, low in _INT_MINIMUMS.items():
             value = getattr(self, key)
-            if not (_is_int(value) and value >= low or value is None and key in _OPTIONAL):
+            if not (_is_int(value) and value >= low):
                 raise InvalidConfig(key, f"must be an integer of at least {low}")
         if not (_is_finite(self.trial_periods) and self.trial_periods > 0):
             raise InvalidConfig("trial_periods", "must be positive")
@@ -167,8 +163,6 @@ class PipelineConfig:
 
     @property
     def n_gamma(self) -> int:
-        if self.gamma_harmonics is not None:
-            return self.gamma_harmonics
         return GAMMA_HARMONICS[self.model["kind"]]
 
     def to_dict(self) -> dict:
@@ -193,6 +187,15 @@ def default_config(kind: str, out_dir: str, seed: int = 0) -> PipelineConfig:
                           out_dir=out_dir, seed=seed, **KIND_DEFAULTS[kind])
 
 
+def _read(out_dir: str, name: str) -> dict:
+    """The artifact ``<name>.json`` of a run directory, checked against schema ``name``."""
+    return serialize.read_json(os.path.join(out_dir, f"{name}.json"), name)
+
+
+def _write(out_dir: str, name: str, doc: dict):
+    serialize.write_json(os.path.join(out_dir, f"{name}.json"), doc, name)
+
+
 def _oscillator_fields(config: PipelineConfig, frames):
     """Per-oscillator polar vector fields of the uncoupled model."""
     spec = config.model_spec
@@ -200,11 +203,10 @@ def _oscillator_fields(config: PipelineConfig, frames):
             for i in range(spec.n_oscillators)]
 
 
-def _load_cycles(art_dir: str):
-    doc = serialize.read_json(os.path.join(art_dir, "limit_cycle.json"), "limit_cycle")
-    frames = [models.ObservableFrame.from_dict(o["frame"]) for o in doc["oscillators"]]
-    cycles = [LimitCycle.from_dict(o["cycle"]) for o in doc["oscillators"]]
-    return frames, cycles, doc
+def _load_cycles(out_dir: str):
+    oscillators = _read(out_dir, "limit_cycle")["oscillators"]
+    return ([models.ObservableFrame.from_dict(o["frame"]) for o in oscillators],
+            [LimitCycle.from_dict(o["cycle"]) for o in oscillators])
 
 
 def stage_limit_cycle(config: PipelineConfig) -> dict:
@@ -223,14 +225,13 @@ def stage_limit_cycle(config: PipelineConfig) -> dict:
         cycle = floquet_from_monodromy(vf, jac, cycle)
         oscillators.append({"frame": frame.to_dict(), "cycle": cycle.to_dict()})
     doc = {"kind": spec.kind, "oscillators": oscillators}
-    serialize.write_json(os.path.join(config.out_dir, "limit_cycle.json"),
-                         doc, "limit_cycle")
+    _write(config.out_dir, "limit_cycle", doc)
     return doc
 
 
 def stage_transforms(config: PipelineConfig) -> dict:
     """Reduced-coordinate sampling and transform fits, one set per oscillator."""
-    frames, cycles, _ = _load_cycles(config.out_dir)
+    frames, cycles = _load_cycles(config.out_dir)
     vfs = _oscillator_fields(config, frames)
     oscillators = []
     for i, cycle in enumerate(cycles):
@@ -248,14 +249,13 @@ def stage_transforms(config: PipelineConfig) -> dict:
         oscillators.append({"transforms": ts.to_dict(),
                             "lambda_slope": lam_slope})
     doc = {"oscillators": oscillators}
-    serialize.write_json(os.path.join(config.out_dir, "transforms.json"),
-                         doc, "transforms")
+    _write(config.out_dir, "transforms", doc)
     return doc
 
 
 def stage_simulate(config: PipelineConfig) -> dict:
     """Generate the synthetic trial files for the VF fit."""
-    frames, cycles, _ = _load_cycles(config.out_dir)
+    frames, cycles = _load_cycles(config.out_dir)
     trial_set = vf_reconstruction.simulate_trial_set(
         config.model_spec, cycles, frames, n_trials=config.n_trials,
         periods=config.trial_periods, seed=config.seed,
@@ -270,30 +270,24 @@ def stage_vf(config: PipelineConfig) -> dict:
     nvf = vf_reconstruction.fit_network_vf(trial_set, config.single_spec,
                                            config.pair_spec, config.row_budget)
     doc = nvf.to_dict()
-    serialize.write_json(os.path.join(config.out_dir, "network_vf.json"),
-                         doc, "network_vf")
+    _write(config.out_dir, "network_vf", doc)
     return doc
 
 
 def stage_reduce(config: PipelineConfig) -> dict:
     """Map the fitted coupling into reduced space and export the heatmaps."""
-    _, cycles, _ = _load_cycles(config.out_dir)
-    nvf_doc = serialize.read_json(os.path.join(config.out_dir, "network_vf.json"),
-                                  "network_vf")
-    nvf = vf_reconstruction.NetworkVF.from_dict(nvf_doc)
-    tr_doc = serialize.read_json(os.path.join(config.out_dir, "transforms.json"),
-                                 "transforms")
-    tsets = [TransformSet.from_dict(o["transforms"]) for o in tr_doc["oscillators"]]
+    _, cycles = _load_cycles(config.out_dir)
+    nvf = vf_reconstruction.NetworkVF.from_dict(_read(config.out_dir, "network_vf"))
+    tsets = [TransformSet.from_dict(o["transforms"])
+             for o in _read(config.out_dir, "transforms")["oscillators"]]
     grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     stats = [(float(g.min()), float(g.max()))
              for g in (c.gamma_at(grid) for c in cycles)]
-    grid_seed = config.grid_seed if config.grid_seed is not None else config.seed + 1
     rc = coupling.reduce_network_coupling(
         nvf, tsets, stats, [c.omega for c in cycles], [c.lam for c in cycles],
-        config.reduced_spec, count=config.grid_points, seed=grid_seed)
+        config.reduced_spec, count=config.grid_points, seed=config.seed + 1)
     doc = rc.to_dict()
-    serialize.write_json(os.path.join(config.out_dir, "reduced_coupling.json"),
-                         doc, "reduced_coupling")
+    _write(config.out_dir, "reduced_coupling", doc)
 
     heat_dir = os.path.join(config.out_dir, "heatmaps")
     os.makedirs(heat_dir, exist_ok=True)
@@ -319,27 +313,34 @@ def _row(name: str, value: float, bound: float, lower_is_pass: bool = True) -> d
     return {"name": name, "value": float(value), "bound": float(bound), "pass": ok}
 
 
-def _skip_row(name: str) -> dict:
-    return {"name": name, "value": None, "bound": None, "pass": True,
-            "note": "oracle unavailable"}
+def _skip_rows(*names: str) -> list:
+    return [{"name": name, "value": None, "bound": None, "pass": True,
+             "note": "oracle unavailable"} for name in names]
+
+
+def _pairs(eps: np.ndarray):
+    """Driven pairs (eps[i, j] != 0) and silent directions (eps[i, j] == 0 but
+    eps[j, i] != 0) as [i, j] lists in row-major order; the diagonal is zero."""
+    return (np.argwhere(eps != 0).tolist(),
+            np.argwhere((eps == 0) & (eps.T != 0)).tolist())
+
+
+def _sup(series: dict, i: int, j: int, parts) -> float:
+    """Largest coefficient magnitude of the (i, j, part) series over ``parts``."""
+    return max(float(np.abs(series[(i, j, p)].coefficients).max()) for p in parts)
 
 
 def stage_compare(config: PipelineConfig) -> dict:
     """Tolerance report against analytic oracles and structural checks."""
     spec = config.model_spec
     tol = config.tolerances
-    frames, cycles, _ = _load_cycles(config.out_dir)
+    frames, cycles = _load_cycles(config.out_dir)
     vfs = _oscillator_fields(config, frames)
-    tr_doc = serialize.read_json(os.path.join(config.out_dir, "transforms.json"),
-                                 "transforms")
-    tsets = [TransformSet.from_dict(o["transforms"]) for o in tr_doc["oscillators"]]
-    lam_slopes = [o["lambda_slope"] for o in tr_doc["oscillators"]]
-    nvf = vf_reconstruction.NetworkVF.from_dict(
-        serialize.read_json(os.path.join(config.out_dir, "network_vf.json"),
-                            "network_vf"))
-    rc = coupling.ReducedCoupling.from_dict(
-        serialize.read_json(os.path.join(config.out_dir, "reduced_coupling.json"),
-                            "reduced_coupling"))
+    transformed = _read(config.out_dir, "transforms")["oscillators"]
+    tsets = [TransformSet.from_dict(o["transforms"]) for o in transformed]
+    lam_slopes = [o["lambda_slope"] for o in transformed]
+    nvf = vf_reconstruction.NetworkVF.from_dict(_read(config.out_dir, "network_vf"))
+    rc = coupling.ReducedCoupling.from_dict(_read(config.out_dir, "reduced_coupling"))
 
     try:
         truths = [models.analytic_ground_truth(spec, i)
@@ -358,8 +359,7 @@ def stage_compare(config: PipelineConfig) -> dict:
                              abs(lam_slopes[i] - gt.lam) / abs(gt.lam),
                              tol["lambda_slope_rel"]))
         else:
-            rows.append(_skip_row(f"lambda_monodromy_osc{i}"))
-            rows.append(_skip_row(f"lambda_slope_osc{i}"))
+            rows += _skip_rows(f"lambda_monodromy_osc{i}", f"lambda_slope_osc{i}")
         rows.append(_row(f"lambda_routes_osc{i}",
                          abs(lam_slopes[i] - cycle.lam) / abs(cycle.lam),
                          tol["lambda_routes_rel"]))
@@ -374,25 +374,22 @@ def stage_compare(config: PipelineConfig) -> dict:
             TH, R = np.meshgrid(th, np.linspace(0.8, r_hi, 15))
             gt = truths[i]
             phi_fit, sig_fit = ts.inverse(TH, R)
-            if spec.kind == models.RADIAL_ISOCHRON_CLOCK:
-                rows.append(_row(f"sigma_transform_osc{i}",
-                                 float(np.abs(sig_fit - gt.sigma_scaled(TH, R)).max()),
+            ric = spec.kind == models.RADIAL_ISOCHRON_CLOCK
+            if ric:
+                sig_err = np.abs(sig_fit - gt.sigma_scale * gt.sigma(TH, R))
+                rows.append(_row(f"sigma_transform_osc{i}", float(sig_err.max()),
                                  tol["sigma_abs"]))
-                rows.append(_row(f"phi_transform_osc{i}",
-                                 float(np.abs(_wrap(phi_fit - gt.phi(TH, R))).max()),
-                                 tol["phi_abs_ric"]))
             else:
                 ana = gt.sigma(TH, R)
                 scale = float(np.sum(sig_fit * ana) / np.sum(ana * ana))
                 rel = float(np.abs(sig_fit - scale * ana).max() / np.abs(scale * ana).max())
                 rows.append(_row(f"sigma_transform_osc{i}", rel,
                                  tol["sigma_rel_scaled"]))
-                rows.append(_row(f"phi_transform_osc{i}",
-                                 float(np.abs(_wrap(phi_fit - gt.phi(TH, R))).max()),
-                                 tol["phi_abs_canonical"]))
+            rows.append(_row(f"phi_transform_osc{i}",
+                             float(np.abs(_wrap(phi_fit - gt.phi(TH, R))).max()),
+                             tol["phi_abs_ric" if ric else "phi_abs_canonical"]))
         else:
-            rows.append(_skip_row(f"sigma_transform_osc{i}"))
-            rows.append(_skip_row(f"phi_transform_osc{i}"))
+            rows += _skip_rows(f"sigma_transform_osc{i}", f"phi_transform_osc{i}")
 
         # Composition and invariance residuals on the interior of the fitted
         # domain, following the cycle profile so non-circular cycles stay
@@ -436,83 +433,65 @@ def stage_compare(config: PipelineConfig) -> dict:
             rows.append(_row(f"vf_radial_cubic_osc{i}",
                              abs(q3 + a) / a, tol["vf_radial_coeff_rel"]))
 
-    eps = np.asarray(spec.coupling)
+    driven, silent = _pairs(spec.coupling)
     if spec.kind == models.VAN_DER_POL:
-        for i in range(spec.n_oscillators):
-            for j in range(spec.n_oscillators):
-                if i == j or eps[i, j] == 0:
-                    continue
-                # Panels tiled by (sigma_i power, sigma_j power); absent
-                # amplitude pairs are zero blocks.
-                panels = coupling.heatmap_layout(rc, i, j, "phi")["panels"]
-                zero = np.zeros_like(panels[(0, 0)])
-                mat = np.block([[panels.get((mi, mj), zero)
-                                 for mj in range(max(p[1] for p in panels) + 1)]
-                                for mi in range(max(p[0] for p in panels) + 1)])
-                sv = np.linalg.svd(mat, compute_uv=False)
-                rows.append(_row(f"factorization_{i}<-{j}",
-                                 float(sv[0] ** 2 / np.sum(sv ** 2)),
-                                 tol["factorization_energy"], lower_is_pass=False))
+        for i, j in driven:
+            # Panels tiled by (sigma_i power, sigma_j power); absent
+            # amplitude pairs are zero blocks.
+            panels = coupling.heatmap_layout(rc, i, j, "phi")["panels"]
+            zero = np.zeros_like(panels[(0, 0)])
+            mat = np.block([[panels.get((mi, mj), zero)
+                             for mj in range(max(p[1] for p in panels) + 1)]
+                            for mi in range(max(p[0] for p in panels) + 1)])
+            sv = np.linalg.svd(mat, compute_uv=False)
+            rows.append(_row(f"factorization_{i}<-{j}",
+                             float(sv[0] ** 2 / np.sum(sv ** 2)),
+                             tol["factorization_energy"], lower_is_pass=False))
 
-    for i in range(spec.n_oscillators):
-        for j in range(spec.n_oscillators):
-            if i == j or eps[i, j] != 0 or eps[j, i] == 0:
-                continue
-            # (i, j) is the silent direction of a uni-directional pair.
-            def sup_obs(a, b):
-                return max(float(np.abs(nvf.coupling[(a, b, c)].coefficients).max())
-                           for c in ("theta", "r"))
-
-            def sup_red(a, b):
-                return max(float(np.abs(rc.series[(a, b, e)].coefficients).max())
-                           for e in ("phi", "sigma"))
-
-            rows.append(_row(f"directionality_observable_{i}<-{j}",
-                             sup_obs(i, j) / sup_obs(j, i),
-                             tol["directionality_ratio"]))
-            rows.append(_row(f"directionality_reduced_{i}<-{j}",
-                             sup_red(i, j) / sup_red(j, i),
-                             tol["directionality_ratio"]))
+    for i, j in silent:
+        rows.append(_row(f"directionality_observable_{i}<-{j}",
+                         _sup(nvf.coupling, i, j, ("theta", "r"))
+                         / _sup(nvf.coupling, j, i, ("theta", "r")),
+                         tol["directionality_ratio"]))
+        rows.append(_row(f"directionality_reduced_{i}<-{j}",
+                         _sup(rc.series, i, j, ("phi", "sigma"))
+                         / _sup(rc.series, j, i, ("phi", "sigma")),
+                         tol["directionality_ratio"]))
 
     if truths is not None:
-        for i in range(spec.n_oscillators):
-            for j in range(spec.n_oscillators):
-                if i == j or eps[i, j] == 0:
-                    continue
-                tables = models.analytic_reduced_coupling_terms(spec, i, j)
-                worst = 0.0
-                main_rel = None
-                for eq in ("phi", "sigma"):
-                    fitted = rc.series[(i, j, eq)]
-                    for (mi, mj), terms in tables[eq].items():
-                        for (own, inp), want in terms.items():
-                            if abs(want) < 0.1 * abs(eps[i, j]):
-                                continue
-                            own_k = 0 if own == "1" else 1
-                            got = fitted.coefficient(mi=mi, mj=mj, own_k=own_k,
-                                                     own_trig=own, inp_k=1,
-                                                     inp_trig=inp)
-                            rel = abs(got - want) / abs(want)
-                            worst = max(worst, rel)
-                            if eq == "phi" and (mi, mj) == (0, 0) and main_rel is None:
-                                main_rel = rel
-                rows.append(_row(f"reduced_main_{i}<-{j}", main_rel,
-                                 tol["reduced_main_rel"]))
-                rows.append(_row(f"reduced_table_{i}<-{j}", worst,
-                                 tol["reduced_table_rel"]))
+        for i, j in driven:
+            tables = models.analytic_reduced_coupling_terms(spec, i, j)
+            worst = 0.0
+            main_rel = None
+            for eq in ("phi", "sigma"):
+                fitted = rc.series[(i, j, eq)]
+                for (mi, mj), terms in tables[eq].items():
+                    for (own, inp), want in terms.items():
+                        if abs(want) < 0.1 * abs(spec.coupling[i, j]):
+                            continue
+                        own_k = 0 if own == "1" else 1
+                        got = fitted.coefficient(mi=mi, mj=mj, own_k=own_k,
+                                                 own_trig=own, inp_k=1,
+                                                 inp_trig=inp)
+                        rel = abs(got - want) / abs(want)
+                        worst = max(worst, rel)
+                        if eq == "phi" and (mi, mj) == (0, 0) and main_rel is None:
+                            main_rel = rel
+            rows.append(_row(f"reduced_main_{i}<-{j}", main_rel,
+                             tol["reduced_main_rel"]))
+            rows.append(_row(f"reduced_table_{i}<-{j}", worst,
+                             tol["reduced_table_rel"]))
 
     report = {"model": spec.kind, "rows": rows,
               "pass": all(r["pass"] for r in rows)}
-    serialize.write_json(os.path.join(config.out_dir, "report.json"),
-                         report, "report")
+    _write(config.out_dir, "report", report)
     return report
 
 
 def write_config(config: PipelineConfig):
     """Record the effective configuration as config.json in the output directory."""
     os.makedirs(config.out_dir, exist_ok=True)
-    serialize.write_json(os.path.join(config.out_dir, "config.json"),
-                         config.to_dict(), "config")
+    _write(config.out_dir, "config", config.to_dict())
 
 
 def run_pipeline(config: PipelineConfig) -> dict:

@@ -25,7 +25,6 @@ class RawSignal:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if self.times.shape != self.values.shape:

@@ -30,7 +30,6 @@ __all__ = [
     "fit_network_vf",
     "eval_uncoupled",
     "eval_coupling",
-    "eval_network_vf",
 ]
 
 COMPONENTS = ("theta", "r")
@@ -73,6 +72,8 @@ def differentiate_trial(trial: Trial) -> tuple[np.ndarray, np.ndarray]:
     h = dt[0]
     if not np.allclose(dt, h, rtol=1e-9, atol=0.0):
         raise NonUniformSampling("trial time base is not uniform")
+    if not h > 0:
+        raise NonUniformSampling(f"trial time step {h} is not positive")
 
     def diff(x):
         d = np.empty_like(x)
@@ -246,18 +247,3 @@ def eval_coupling(nvf: NetworkVF, i: int, j: int, theta_i, r_i,
     row = pair_row(nvf.pair_spec, theta_i, r_i, theta_j, r_j)
     return np.stack([row @ nvf.coupling[(i, j, c)].coefficients
                      for c in COMPONENTS], axis=-1)
-
-
-def eval_network_vf(nvf: NetworkVF, states) -> np.ndarray:
-    """Full fitted derivatives for network states of shape (..., N, 2)."""
-    states = np.asarray(states, dtype=float)
-    out = np.empty_like(states)
-    for i in range(nvf.n_oscillators):
-        total = eval_uncoupled(nvf, i, states[..., i, 0], states[..., i, 1])
-        for j in range(nvf.n_oscillators):
-            if j != i:
-                total = total + eval_coupling(nvf, i, j,
-                                              states[..., i, 0], states[..., i, 1],
-                                              states[..., j, 0], states[..., j, 1])
-        out[..., i, :] = total
-    return out

@@ -28,6 +28,20 @@ def test_invalid_config_value_is_usage_error(tmp_path):
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_USAGE
 
 
+def test_removed_config_keys_are_usage_errors(tmp_path, capsys):
+    """A config.json that still holds gamma_harmonics or grid_seed exits 2
+    and names the key, both through --config and through compare --from."""
+    from pharec import pipeline, serialize
+    doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
+    for key in ("gamma_harmonics", "grid_seed"):
+        serialize.write_json(str(tmp_path / "config.json"), dict(doc, **{key: None}),
+                             "config")
+        for argv in (["simulate", "--config", str(tmp_path / "config.json")],
+                     ["compare", "--from", str(tmp_path)]):
+            assert cli.main(argv) == cli.EXIT_USAGE
+            assert key in capsys.readouterr().err
+
+
 def test_bad_seed_override_leaves_config_untouched(tmp_path, capsys):
     """--seed -1 is rejected with exit 2 before config.json is rewritten."""
     from pharec import pipeline, serialize
@@ -61,6 +75,24 @@ def test_extract_rejects_non_finite_cells(tmp_path, capsys):
         assert cli.main(["extract", str(src), "--out", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "finite" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+def test_extract_rejects_times_that_do_not_increase(tmp_path, capsys):
+    """Equal, decreasing or repeated times exit 2 with one line, no traceback."""
+    t = np.arange(400) * 0.05
+    values = np.sin(2 * np.pi * t)
+    repeated = t.copy()
+    repeated[200] = repeated[199]
+    for name, times in (("equal.csv", np.zeros_like(t)), ("decreasing.csv", -t),
+                        ("repeated.csv", repeated)):
+        src = tmp_path / name
+        src.write_text("t,value\n" + "".join(f"{a:.17g},{b:.17g}\n"
+                                             for a, b in zip(times, values)))
+        out = tmp_path / "out.csv"
+        assert cli.main(["extract", str(src), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "strictly increase" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
 

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from pharec import pipeline
@@ -32,8 +35,7 @@ def test_invalid_values_rejected():
                        ("radial_span", (0.7, float("nan"))), ("radial_span", 1.0),
                        ("n_trials", 2.5), ("ic_angles", 21.0), ("row_budget", "60000"),
                        ("single_orders", (4.5, 5)), ("pair_orders", (3, 2.0, 2)),
-                       ("seed", -1), ("seed", 1.5), ("grid_seed", -3),
-                       ("gamma_harmonics", 0), ("gamma_harmonics", -1),
+                       ("seed", -1), ("seed", 1.5),
                        ("trial_periods", float("inf")), ("n_trials", True),
                        ("tolerances", {}), ("tolerances", [1.0]),
                        ("tolerances", dict(base["tolerances"], sigma_abs=None)),
@@ -54,6 +56,33 @@ def test_invalid_values_rejected():
             pipeline.PipelineConfig.from_dict(dict(base, model=model))
     with pytest.raises(InvalidConfig):
         pipeline.PipelineConfig.from_dict(dict(base, unknown_key=1))
+
+
+def test_removed_knobs_rejected():
+    """The harmonic count follows the model kind and the reduction grid's seed
+    is seed + 1; a config that still sets either key is rejected by name."""
+    base = pipeline.default_config("canonical", "/tmp/x").to_dict()
+    for key, value in (("grid_seed", None), ("grid_seed", 5), ("grid_seed", -3),
+                       ("gamma_harmonics", None), ("gamma_harmonics", 8),
+                       ("gamma_harmonics", 0), ("gamma_harmonics", -1)):
+        with pytest.raises(InvalidConfig, match=key):
+            pipeline.PipelineConfig.from_dict(dict(base, **{key: value}))
+
+
+def test_pairs_follow_the_coupling_matrix():
+    """Driven pairs and silent directions come in the order of the nested
+    loops over (i, j) they replace, for every zero pattern of a 3 x 3
+    coupling matrix with zero diagonal."""
+    off = [(i, j) for i in range(3) for j in range(3) if i != j]
+    for pattern in itertools.product((0.0, 0.4), repeat=len(off)):
+        eps = np.zeros((3, 3))
+        for (i, j), value in zip(off, pattern):
+            eps[i, j] = value
+        driven = [[i, j] for i in range(3) for j in range(3)
+                  if i != j and eps[i, j] != 0]
+        silent = [[i, j] for i in range(3) for j in range(3)
+                  if i != j and eps[i, j] == 0 and eps[j, i] != 0]
+        assert pipeline._pairs(eps) == (driven, silent)
 
 
 def test_tolerance_table_present():

@@ -13,6 +13,18 @@ def synthetic_trial(n=200, step=0.01, n_osc=2):
     return vfr.Trial(times=t, theta=theta, r=r)
 
 
+def network_derivatives(nvf, states):
+    """Fitted (dtheta, dr) of every oscillator at network states (N, 2): the
+    uncoupled series plus the coupling series of every other oscillator."""
+    out = np.empty_like(states)
+    for i in range(nvf.n_oscillators):
+        out[i] = vfr.eval_uncoupled(nvf, i, states[i, 0], states[i, 1])
+        for j in range(nvf.n_oscillators):
+            if j != i:
+                out[i] += vfr.eval_coupling(nvf, i, j, *states[i], *states[j])
+    return out
+
+
 def test_differentiation_second_order():
     trial = synthetic_trial()
     dth, dr = vfr.differentiate_trial(trial)
@@ -37,6 +49,12 @@ def test_nonuniform_and_short_trials_rejected():
     with pytest.raises(TooShort):
         vfr.differentiate_trial(vfr.Trial(times=trial.times[:4],
                                           theta=trial.theta[:4], r=trial.r[:4]))
+    # Equal or decreasing times are uniform too; they must raise rather than
+    # give inf or sign-flipped derivatives.
+    for times in (np.zeros_like(trial.times), -trial.times):
+        with pytest.raises(NonUniformSampling, match="not positive"):
+            vfr.differentiate_trial(vfr.Trial(times=times, theta=trial.theta,
+                                              r=trial.r))
 
 
 def test_fit_recovers_known_separable_field():
@@ -79,7 +97,7 @@ def test_fit_recovers_known_separable_field():
     assert np.abs(nvf.coupling[(0, 1, "r")].coefficients).max() < 1e-8
     # Evaluation helpers agree with the generating field.
     state = np.array([[0.3, 1.1], [1.2, 0.9]])
-    out = vfr.eval_network_vf(nvf, state)
+    out = network_derivatives(nvf, state)
     assert out[0, 0] == pytest.approx(1.0 + 0.2 * 1.1 * np.cos(0.3), abs=1e-6)
 
 
@@ -95,8 +113,8 @@ def test_network_round_trip():
     nvf = vfr.NetworkVF(2, single, pair, unc, cpl)
     again = vfr.NetworkVF.from_dict(nvf.to_dict())
     state = np.array([[0.3, 1.1], [1.2, 0.9]])
-    np.testing.assert_allclose(vfr.eval_network_vf(again, state),
-                               vfr.eval_network_vf(nvf, state), atol=1e-12)
+    np.testing.assert_allclose(network_derivatives(again, state),
+                               network_derivatives(nvf, state), atol=1e-12)
 
 
 def test_coverage_check_rejects_arc_data():

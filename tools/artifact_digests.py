@@ -1,13 +1,17 @@
 """Print the sha256 of every artifact the benchmark workloads write.
 
-    python3 tools/artifact_digests.py WORK_DIR [--seed 42] > digests.json
+    python3 tools/artifact_digests.py WORK_DIR [--seed 42] [--pipelines] > digests.json
 
 Runs prepare (where present), setup, run and check of each workload in
 perfbench/workloads.py under WORK_DIR/<workload> (WORK_DIR must not exist)
 with one BLAS/OpenMP thread, fails unless every report row passes, and
 prints JSON mapping ``workload/relpath`` to sha256 for each file in the
 output directory, except ``config.json``, which records that directory.
-Run it in two checkouts and ``diff`` the outputs to check byte identity.
+``--pipelines`` also runs the four default models through ``run_pipeline``
+at the same seed under WORK_DIR/pipeline_<kind> and digests those
+directories the same way; the workloads alone never run ``stage_compare``
+on a Cartesian model. Run it in two checkouts and ``diff`` the outputs to
+check byte identity.
 """
 
 import argparse
@@ -23,11 +27,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 from workloads import WORKLOADS  # noqa: E402
 
+from pharec import pipeline  # noqa: E402
+
+KINDS = ("radial_isochron_clock", "canonical", "van_der_pol", "wilson_cowan")
+
+
+def _digest_dir(digests: dict, name: str, out_dir: str):
+    for base, _, files in os.walk(out_dir):
+        for path in (os.path.join(base, f) for f in files):
+            rel = os.path.relpath(path, out_dir)
+            if rel != "config.json":
+                with open(path, "rb") as fh:
+                    digests[f"{name}/{rel}"] = hashlib.sha256(fh.read()).hexdigest()
+
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("work_dir")
     p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--pipelines", action="store_true",
+                   help="also digest a full run of each default model")
     args = p.parse_args(argv)
     os.makedirs(args.work_dir)
     digests = {}
@@ -41,12 +60,16 @@ def main(argv=None) -> int:
         failing = [r["name"] for r in rows if not r["pass"]]
         if failing or sorted(r["name"] for r in rows) != sorted(expected):
             raise SystemExit(f"{name}: report rows differ or fail: {failing}")
-        for base, _, files in os.walk(state.out_dir):
-            for path in (os.path.join(base, f) for f in files):
-                rel = os.path.relpath(path, state.out_dir)
-                if rel != "config.json":
-                    with open(path, "rb") as fh:
-                        digests[f"{name}/{rel}"] = hashlib.sha256(fh.read()).hexdigest()
+        _digest_dir(digests, name, state.out_dir)
+    for kind in (KINDS if args.pipelines else ()):
+        name = f"pipeline_{kind}"
+        config = pipeline.default_config(kind, os.path.join(args.work_dir, name),
+                                         seed=args.seed)
+        report = pipeline.run_pipeline(config)
+        failing = [r["name"] for r in report["rows"] if not r["pass"]]
+        if failing:
+            raise SystemExit(f"{name}: report rows fail: {failing}")
+        _digest_dir(digests, name, config.out_dir)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 

@@ -30,8 +30,8 @@ class RawSignal:
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have equal length")
         dt = np.diff(self.times)
-        if dt.size and not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-            raise NonUniformSampling("raw signal is not uniformly sampled")
+        if dt.size and not (dt[0] > 0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)):
+            raise NonUniformSampling("raw signal times must increase in equal steps")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("raw signal contains non-finite values")
 

@@ -54,3 +54,12 @@ def test_nonuniform_sampling_rejected():
     t = np.cumsum(np.linspace(0.01, 0.02, 100))
     with pytest.raises(NonUniformSampling):
         signal_extract.RawSignal(times=t, values=np.sin(t))
+
+
+@pytest.mark.parametrize("times", [np.zeros(400), -np.arange(400) * 0.05,
+                                   np.r_[0.0, 0.0, np.arange(1, 399) * 0.05]],
+                         ids=["equal", "decreasing", "repeated"])
+def test_times_that_do_not_increase_rejected(times):
+    with pytest.raises(NonUniformSampling):
+        signal_extract.RawSignal(times=times,
+                                 values=np.sin(2 * np.pi * np.arange(400) / 20))

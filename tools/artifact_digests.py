@@ -1,17 +1,16 @@
-"""Print the sha256 of every artifact the benchmark workloads write.
+"""Print the sha256 of every artifact the workloads and default pipelines write.
 
-    python3 tools/artifact_digests.py WORK_DIR [--seed 42] [--pipelines] > digests.json
+    python3 tools/artifact_digests.py WORK_DIR [--seed 42] > digests.json
 
 Runs prepare (where present), setup, run and check of each workload in
-perfbench/workloads.py under WORK_DIR/<workload> (WORK_DIR must not exist)
-with one BLAS/OpenMP thread, fails unless every report row passes, and
-prints JSON mapping ``workload/relpath`` to sha256 for each file in the
-output directory, except ``config.json``, which records that directory.
-``--pipelines`` also runs the four default models through ``run_pipeline``
-at the same seed under WORK_DIR/pipeline_<kind> and digests those
-directories the same way; the workloads alone never run ``stage_compare``
-on a Cartesian model. Run it in two checkouts and ``diff`` the outputs to
-check byte identity.
+perfbench/workloads.py under WORK_DIR/<workload> (WORK_DIR must not exist),
+then every default model through ``run_pipeline`` at the same seed under
+WORK_DIR/pipeline_<kind>, since the workloads alone never run
+``stage_compare`` on a Cartesian model. Everything runs with one
+BLAS/OpenMP thread and fails unless every report row passes. Prints JSON
+mapping ``<name>/relpath`` to sha256 for each file in each output
+directory, except ``config.json``, which records that directory. Run it in
+two checkouts and ``diff`` the outputs to check byte identity.
 """
 
 import argparse
@@ -29,8 +28,6 @@ from workloads import WORKLOADS  # noqa: E402
 
 from pharec import pipeline  # noqa: E402
 
-KINDS = ("radial_isochron_clock", "canonical", "van_der_pol", "wilson_cowan")
-
 
 def _digest_dir(digests: dict, name: str, out_dir: str):
     for base, _, files in os.walk(out_dir):
@@ -45,8 +42,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("work_dir")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--pipelines", action="store_true",
-                   help="also digest a full run of each default model")
     args = p.parse_args(argv)
     os.makedirs(args.work_dir)
     digests = {}
@@ -61,7 +56,7 @@ def main(argv=None) -> int:
         if failing or sorted(r["name"] for r in rows) != sorted(expected):
             raise SystemExit(f"{name}: report rows differ or fail: {failing}")
         _digest_dir(digests, name, state.out_dir)
-    for kind in (KINDS if args.pipelines else ()):
+    for kind in pipeline.KIND_DEFAULTS:
         name = f"pipeline_{kind}"
         config = pipeline.default_config(kind, os.path.join(args.work_dir, name),
                                          seed=args.seed)

@@ -158,13 +158,21 @@ def _terms(spec) -> tuple:
 def _harmonics(theta: np.ndarray, k_max: int, constant: bool, lead: tuple,
                grad: bool):
     """{1,} cos k*theta, sin k*theta along a new trailing axis, and d/dtheta
-    (None unless ``grad``) taken from the same columns."""
+    (None unless ``grad``) taken from the same columns.
+
+    Each (cos, sin) column pair is one complex number, so the harmonics come
+    from one complex exponential per point by the angle-addition recurrence
+    e^{ik theta} = e^{i(k-1) theta} e^{i theta}.  The error is about k
+    rounding units (under 3e-15 at k = 32) and does not grow with |k*theta|.
+    """
     first = int(constant)
     val = np.empty(lead + (first + 2 * k_max,))
     val[..., :first] = 1.0
-    for k in range(1, k_max + 1):
-        val[..., first + 2 * k - 2] = np.cos(k * theta)
-        val[..., first + 2 * k - 1] = np.sin(k * theta)
+    z = val[..., first:].view(complex)
+    if k_max:
+        z[..., 0] = np.exp(1j * theta)
+    for k in range(1, k_max):
+        np.multiply(z[..., k - 1], z[..., 0], out=z[..., k])
     if not grad:
         return val, None
     k = np.arange(1, k_max + 1)

@@ -48,6 +48,8 @@ def read_json(path: str, schema: str) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise IoError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     expected = f"{schema}/v{SCHEMA_VERSION}"
     if doc.get("schema") != expected:
         raise IoError(f"{path}: expected schema {expected}, got {doc.get('schema')}")

@@ -19,6 +19,18 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     assert cli.main(["pipeline", "--config", str(bad)]) == cli.EXIT_USAGE
 
 
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    """A config file holding valid JSON that is not an object exits 2 with
+    one stderr line, through compare --from and through simulate --config."""
+    (tmp_path / "config.json").write_text("[1, 2]")
+    (tmp_path / "string.json").write_text('"x"')
+    for argv in (["compare", "--from", str(tmp_path)],
+                 ["simulate", "--config", str(tmp_path / "string.json")]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "JSON object" in err
+
+
 def test_invalid_config_value_is_usage_error(tmp_path):
     from pharec import pipeline, serialize
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()

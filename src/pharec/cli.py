@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto pipeline stages plus the full orchestration
 and a raw-signal extraction front end.  Exit codes: 0 success, 1 tolerance
-failure in the comparison report, 2 usage or configuration error, 3 runtime
-numerical error.
+failure in the comparison report, 2 usage, configuration or input error
+(unevenly sampled times included), 3 runtime numerical error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import pipeline, serialize, signal_extract
-from .errors import InvalidConfig, IoError, PharecError
+from .errors import InvalidConfig, IoError, NonUniformSampling, PharecError
 
 EXIT_PASS = 0
 EXIT_TOLERANCE = 1
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     except InvalidConfig as exc:
         print(f"pharec: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IoError as exc:
+    except (IoError, NonUniformSampling) as exc:
         print(f"pharec: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PharecError as exc:

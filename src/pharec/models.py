@@ -111,6 +111,9 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        extra = sorted(set(d) - {"kind", "params", "coupling"})
+        if extra:
+            raise ValueError(f"unknown model keys: {', '.join(map(str, extra))}")
         return cls(kind=d["kind"],
                    params={k: tuple(v) for k, v in d["params"].items()},
                    coupling=np.asarray(d["coupling"], dtype=float))

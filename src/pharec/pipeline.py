@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,7 +59,8 @@ KIND_DEFAULTS = {
     },
 }
 
-DEFAULT_TOLERANCES = {
+# Pass bounds of the report rows; each row records the bound it was held to.
+TOLERANCES = {
     "lambda_monodromy_rel": 0.01,
     "lambda_slope_rel": 0.005,
     "lambda_routes_rel": 0.01,
@@ -105,12 +105,11 @@ class PipelineConfig:
     ic_angles: int = 21
     ic_radii: int = 15
     single_orders: tuple[int, int] = (4, 5)
-    transform_orders: tuple[int, int] | None = None
+    transform_orders: tuple[int, int] = (4, 5)
     pair_orders: tuple[int, int, int] = (3, 2, 2)
     reduced_orders: tuple[int, int, int] = (2, 2, 2)
     grid_points: int = 4000
     row_budget: int = 60000
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
         for key, low in _INT_MINIMUMS.items():
@@ -124,17 +123,12 @@ class PipelineConfig:
             raise InvalidConfig("radial_span", "need two numbers 0 < lo < hi")
         for key in ("single_orders", "transform_orders", "pair_orders",
                     "reduced_orders"):
-            orders = getattr(self, key)
-            if orders is not None and not all(map(_is_int, orders)):
-                raise InvalidConfig(key, "orders must be integers")
             try:
+                if not all(map(_is_int, getattr(self, key))):
+                    raise InvalidConfig(key, "orders must be integers")
                 getattr(self, key.replace("_orders", "_spec"))
             except (TypeError, ValueError) as exc:
                 raise InvalidConfig(key, str(exc)) from exc
-        tol = self.tolerances if isinstance(self.tolerances, dict) else {}
-        bad = [k for k in DEFAULT_TOLERANCES if not _is_finite(tol.get(k))]
-        if bad:
-            raise InvalidConfig("tolerances", f"need a finite number for {', '.join(bad)}")
         try:
             models.ModelSpec.from_dict(self.model)
         except Exception as exc:
@@ -150,8 +144,7 @@ class PipelineConfig:
 
     @property
     def transform_spec(self) -> SingleBasisSpec:
-        orders = self.transform_orders or self.single_orders
-        return SingleBasisSpec(*orders)
+        return SingleBasisSpec(*self.transform_orders)
 
     @property
     def pair_spec(self) -> PairBasisSpec:
@@ -172,11 +165,14 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)
         d.pop("schema", None)
-        try:
-            for key in ("radial_span", "single_orders", "transform_orders",
-                        "pair_orders", "reduced_orders"):
-                if d.get(key) is not None:
+        for key in ("radial_span", "single_orders", "transform_orders",
+                    "pair_orders", "reduced_orders"):
+            if key in d:
+                try:
                     d[key] = tuple(d[key])
+                except TypeError:
+                    raise InvalidConfig(key, "must be a list of numbers") from None
+        try:
             return cls(**d)
         except TypeError as exc:
             raise InvalidConfig("config", str(exc)) from exc
@@ -240,9 +236,10 @@ def stage_transforms(config: PipelineConfig) -> dict:
         samples = averaging.reduced_coordinates_batch(vfs[i], cycle, ics)
         ts = transforms.fit_transform_set(samples, config.transform_spec)
         # Independent slope route to the Floquet exponent, for the report.
-        probe = np.array([0.0, 1.2 * cycle.gamma_at(0.0)])
+        gamma0 = cycle.gamma_at(0.0)
+        probe = np.array([0.0, 1.2 * gamma0])
         horizon = averaging._horizon_steps(cycle, cycle.lam,
-                                           float(abs(probe[1] - cycle.gamma_at(0.0))))
+                                           float(abs(probe[1] - gamma0)))
         traj = integrate(vfs[i], probe, horizon * cycle.step, cycle.step)
         dev = averaging.observable_deviation(traj, cycle)
         lam_slope = averaging.refine_lambda(dev, 0.0)
@@ -333,7 +330,7 @@ def _sup(series: dict, i: int, j: int, parts) -> float:
 def stage_compare(config: PipelineConfig) -> dict:
     """Tolerance report against analytic oracles and structural checks."""
     spec = config.model_spec
-    tol = config.tolerances
+    tol = TOLERANCES
     frames, cycles = _load_cycles(config.out_dir)
     vfs = _oscillator_fields(config, frames)
     transformed = _read(config.out_dir, "transforms")["oscillators"]
@@ -436,13 +433,11 @@ def stage_compare(config: PipelineConfig) -> dict:
     driven, silent = _pairs(spec.coupling)
     if spec.kind == models.VAN_DER_POL:
         for i, j in driven:
-            # Panels tiled by (sigma_i power, sigma_j power); absent
-            # amplitude pairs are zero blocks.
+            # Panels tiled by (sigma_i power, sigma_j power); the reduced
+            # basis has every pair of powers up to m_max.
             panels = coupling.heatmap_layout(rc, i, j, "phi")["panels"]
-            zero = np.zeros_like(panels[(0, 0)])
-            mat = np.block([[panels.get((mi, mj), zero)
-                             for mj in range(max(p[1] for p in panels) + 1)]
-                            for mi in range(max(p[0] for p in panels) + 1)])
+            powers = range(rc.spec.m_max + 1)
+            mat = np.block([[panels[(mi, mj)] for mj in powers] for mi in powers])
             sv = np.linalg.svd(mat, compute_uv=False)
             rows.append(_row(f"factorization_{i}<-{j}",
                              float(sv[0] ** 2 / np.sum(sv ** 2)),
@@ -497,16 +492,7 @@ def write_config(config: PipelineConfig):
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage in order and return the comparison report."""
     write_config(config)
-    timings = {}
-    for name, stage in (("limit_cycle", stage_limit_cycle),
-                        ("transforms", stage_transforms),
-                        ("simulate", stage_simulate),
-                        ("vf", stage_vf),
-                        ("reduce", stage_reduce),
-                        ("compare", stage_compare)):
-        t0 = time.time()
-        result = stage(config)
-        timings[name] = time.time() - t0
-    report = result
-    report["timings"] = timings
-    return report
+    for stage in (stage_limit_cycle, stage_transforms, stage_simulate,
+                  stage_vf, stage_reduce):
+        stage(config)
+    return stage_compare(config)

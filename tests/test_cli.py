@@ -41,12 +41,15 @@ def test_invalid_config_value_is_usage_error(tmp_path):
 
 
 def test_removed_config_keys_are_usage_errors(tmp_path, capsys):
-    """A config.json that still holds gamma_harmonics or grid_seed exits 2
-    and names the key, both through --config and through compare --from."""
+    """A config.json that still holds gamma_harmonics, grid_seed, tolerances
+    or transform_orders: null exits 2 and names the key, both through
+    --config and through compare --from."""
     from pharec import pipeline, serialize
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
-    for key in ("gamma_harmonics", "grid_seed"):
-        serialize.write_json(str(tmp_path / "config.json"), dict(doc, **{key: None}),
+    for key, value in (("gamma_harmonics", None), ("grid_seed", None),
+                       ("tolerances", dict(pipeline.TOLERANCES)),
+                       ("transform_orders", None)):
+        serialize.write_json(str(tmp_path / "config.json"), dict(doc, **{key: value}),
                              "config")
         for argv in (["simulate", "--config", str(tmp_path / "config.json")],
                      ["compare", "--from", str(tmp_path)]):
@@ -106,6 +109,39 @@ def test_extract_rejects_times_that_do_not_increase(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "strictly increase" in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+
+def test_extract_rejects_uneven_times(tmp_path, capsys):
+    """Times that increase in uneven steps are an input error: exit 2 with
+    one line, no output file."""
+    t = np.arange(400) * 0.05
+    t[200:] += 0.01
+    src = tmp_path / "uneven.csv"
+    src.write_text("t,value\n" + "".join(f"{a:.17g},{b:.17g}\n"
+                                         for a, b in zip(t, np.sin(2 * np.pi * t))))
+    out = tmp_path / "out.csv"
+    assert cli.main(["extract", str(src), "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "equal steps" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_reconstruct_vf_rejects_uneven_trial_times(tmp_path, capsys):
+    """A trial CSV whose times increase in uneven steps exits 2 with one
+    line and writes no network_vf.json."""
+    from pharec import pipeline, serialize
+    from pharec.vf_reconstruction import Trial, TrialSet
+    doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
+    serialize.write_json(str(tmp_path / "config.json"), doc, "config")
+    t = np.arange(200) * 0.05
+    t[100:] += 0.01
+    theta = np.mod(np.stack([t, 1.3 * t], axis=1), 2 * np.pi)
+    serialize.write_trial_set(str(tmp_path / "trials"),
+                              TrialSet([Trial(t, theta, np.ones_like(theta))], 0.05))
+    assert cli.main(["reconstruct-vf", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "not uniform" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "network_vf.json").exists()
 
 
 def test_extract_subcommand(tmp_path):
@@ -168,13 +204,13 @@ def test_stage_out_must_match_from(tmp_path, capsys):
     assert not (new / "config.json").exists()
 
 
-def test_compare_exit_codes(pipeline_runs, tmp_path):
-    from pharec import serialize
+def test_compare_exit_codes(pipeline_runs, tmp_path, monkeypatch):
+    from pharec import pipeline, serialize
     run = pipeline_runs["radial_isochron_clock"]
     assert cli.main(["compare", "--from", run.out_dir]) == cli.EXIT_PASS
     # Impossible tolerance forces a failing report and exit code 1.
+    monkeypatch.setitem(pipeline.TOLERANCES, "composition_abs", 0.0)
     doc = serialize.read_json(os.path.join(run.out_dir, "config.json"), "config")
-    doc["tolerances"] = dict(doc["tolerances"], composition_abs=0.0)
     strict_dir = str(tmp_path / "strict")
     os.makedirs(strict_dir)
     for name in ("limit_cycle.json", "transforms.json", "network_vf.json",

@@ -36,10 +36,7 @@ def test_invalid_values_rejected():
                        ("n_trials", 2.5), ("ic_angles", 21.0), ("row_budget", "60000"),
                        ("single_orders", (4.5, 5)), ("pair_orders", (3, 2.0, 2)),
                        ("seed", -1), ("seed", 1.5),
-                       ("trial_periods", float("inf")), ("n_trials", True),
-                       ("tolerances", {}), ("tolerances", [1.0]),
-                       ("tolerances", dict(base["tolerances"], sigma_abs=None)),
-                       ("tolerances", dict(base["tolerances"], pde_phi_rel=float("nan")))):
+                       ("trial_periods", float("inf")), ("n_trials", True)):
         bad = dict(base)
         bad[key] = value
         with pytest.raises(InvalidConfig):
@@ -51,7 +48,8 @@ def test_invalid_values_rejected():
                   {"kind": "canonical", "params": {"a": [1.2, 1.0], "alpha": [1.5]},
                    "coupling": two},
                   {"kind": "van_der_pol", "params": {"mu": [None, 0.5]},
-                   "coupling": two}):
+                   "coupling": two},
+                  dict(base["model"], extra=1)):
         with pytest.raises(InvalidConfig):
             pipeline.PipelineConfig.from_dict(dict(base, model=model))
     with pytest.raises(InvalidConfig):
@@ -59,12 +57,16 @@ def test_invalid_values_rejected():
 
 
 def test_removed_knobs_rejected():
-    """The harmonic count follows the model kind and the reduction grid's seed
-    is seed + 1; a config that still sets either key is rejected by name."""
+    """The harmonic count follows the model kind, the reduction grid's seed
+    is seed + 1, the report bounds are the constant table and the transform
+    orders are always written out; a config that still sets one of the
+    removed keys, or the old null orders, is rejected by name."""
     base = pipeline.default_config("canonical", "/tmp/x").to_dict()
     for key, value in (("grid_seed", None), ("grid_seed", 5), ("grid_seed", -3),
                        ("gamma_harmonics", None), ("gamma_harmonics", 8),
-                       ("gamma_harmonics", 0), ("gamma_harmonics", -1)):
+                       ("gamma_harmonics", 0), ("gamma_harmonics", -1),
+                       ("tolerances", dict(pipeline.TOLERANCES)), ("tolerances", {}),
+                       ("tolerances", None), ("transform_orders", None)):
         with pytest.raises(InvalidConfig, match=key):
             pipeline.PipelineConfig.from_dict(dict(base, **{key: value}))
 
@@ -86,7 +88,6 @@ def test_pairs_follow_the_coupling_matrix():
 
 
 def test_tolerance_table_present():
-    config = pipeline.default_config("canonical", "/tmp/x")
     for key in ("lambda_monodromy_rel", "pde_phi_rel", "composition_abs",
                 "directionality_ratio", "reduced_table_rel"):
-        assert key in config.tolerances
+        assert key in pipeline.TOLERANCES

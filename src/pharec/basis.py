@@ -276,24 +276,26 @@ class FittedSeries:
 
 
 def series_eval(series: FittedSeries, *point) -> np.ndarray:
+    """Value of a fitted series at ``point``; broadcasts over leading axes.
+
+    The basis row is contracted with this one coefficient vector (BLAS gemv).
+    Evaluate several series at one point by one call each: a row @ (size, m)
+    matrix goes through gemm, whose last bit can differ.
+    """
     return _outer(_factors(series.spec, point)[0]) @ series.coefficients
 
 
-def _grad_rows(spec, point) -> list[np.ndarray]:
-    """Basis rows of the value and of each partial derivative, in the order
-    series_eval_grad returns them."""
-    stacks, derivs = _factors(spec, point, grad=True)
-    return [_outer(stacks)] + [_outer(stacks[:slot] + [d] + stacks[slot + 1:])
-                               for slot, d in derivs]
-
-
 def series_eval_grad(series: FittedSeries, *point):
-    """Value and analytic partial derivatives of a fitted series.
+    """Value and analytic partial derivatives of a fitted series, each
+    contracted as in series_eval.
 
     Single series return (value, d/dtheta, d/dradius); pairwise series return
     (value, (d/dtheta_i, d/dtheta_j), (d/dr_i, d/dr_j)).
     """
-    value, *grads = [row @ series.coefficients for row in _grad_rows(series.spec, point)]
+    stacks, derivs = _factors(series.spec, point, grad=True)
+    rows = [_outer(stacks)] + [_outer(stacks[:slot] + [d] + stacks[slot + 1:])
+                               for slot, d in derivs]
+    value, *grads = [row @ series.coefficients for row in rows]
     if isinstance(series.spec, SingleBasisSpec):
         return (value, *grads)
     return value, tuple(grads[:2]), tuple(grads[2:])

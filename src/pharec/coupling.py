@@ -35,8 +35,9 @@ SIGMA_MARGIN = 0.1            # relative widening of the trusted sigma range
 def sample_evaluation_grid(radius_stats, count: int, seed: int = 0):
     """Random observable evaluation points for coupling reduction.
 
-    ``radius_stats`` is one (r_min, r_max) pair per oscillator, taken from
-    the trial data.  Angles are uniform on the circle; radii are uniform in
+    ``radius_stats`` is one (r_min, r_max) pair per oscillator; the pipeline
+    passes the extremes of each cycle profile gamma on a 256-point angle
+    grid.  Angles are uniform on the circle; radii are uniform in
     [0.8 * r_max, 1.25 * r_min] per oscillator, or in the fallback range
     [0.8 * r_min, 1.25 * r_max] (flagged) when that interval is empty.
 
@@ -142,8 +143,7 @@ class ReducedCoupling:
         return cls(n_oscillators=d["n_oscillators"],
                    spec=spec_from_dict(d["spec"]), series=series,
                    omega=d["omega"], lam=d["lam"],
-                   fallback=d.get("fallback", []),
-                   diagnostics=d.get("diagnostics", {}))
+                   fallback=d["fallback"], diagnostics=d["diagnostics"])
 
 
 def reduce_network_coupling(nvf: NetworkVF, transform_sets: list[TransformSet],

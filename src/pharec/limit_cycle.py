@@ -21,7 +21,6 @@ __all__ = [
     "LimitCycle",
     "find_limit_cycle",
     "floquet_from_monodromy",
-    "k1_oracle",
 ]
 
 STEPS_PER_PERIOD = 2000
@@ -83,7 +82,7 @@ class LimitCycle:
         return cls(period=d["period"], omega=d["omega"],
                    gamma=FittedSeries.from_dict(d["gamma"]),
                    anchor=(d["anchor"][0], d["anchor"][1]),
-                   gamma_resid=d.get("gamma_resid", 0.0),
+                   gamma_resid=d["gamma_resid"],
                    lam=d["lam"],
                    monodromy=None if d["monodromy"] is None else np.asarray(d["monodromy"]))
 
@@ -176,30 +175,3 @@ def floquet_from_monodromy(vf, jacobian, cycle: LimitCycle) -> LimitCycle:
     if lam >= 0:
         raise ComplexMultiplier(f"nontrivial multiplier {mult.real} is not contracting")
     return replace(cycle, lam=lam, monodromy=mono)
-
-
-def k1_oracle(vf, jacobian, cycle: LimitCycle, lam: float,
-              n_phi: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Linear-order forward-response curve K1 on a uniform phase grid.
-
-    Returns (phi values including both endpoints 0 and 2*pi, K1 samples of
-    shape (n_phi + 1, 2)).  K1(0) is the contracting monodromy eigenvector,
-    normalized to unit radial component.
-    """
-    sub = max(STEPS_PER_PERIOD // n_phi, 1)
-    step = cycle.period / (n_phi * sub)
-    tt = ode.integrate_with_tangent(vf, jacobian, np.asarray(cycle.anchor),
-                                    cycle.period, step)
-    mono = tt.tangent[-1]
-    eigvals, eigvecs = np.linalg.eig(mono)
-    trivial = int(np.argmin(np.abs(eigvals - 1.0)))
-    k1_0 = np.real(eigvecs[:, 1 - trivial])
-    if abs(k1_0[1]) < 1e-12:
-        raise ComplexMultiplier("contracting eigenvector has no radial component")
-    k1_0 = k1_0 / k1_0[1]
-    idx = np.arange(n_phi + 1) * sub
-    times = tt.base.times[idx]
-    phis = cycle.omega * times
-    curves = np.exp(-lam * times)[:, None] * np.einsum(
-        "nab,b->na", tt.tangent[idx], k1_0)
-    return phis, curves

@@ -317,12 +317,11 @@ def polar_to_cart(tr: np.ndarray, frame: ObservableFrame) -> np.ndarray:
 
 
 def _settle_seed(spec: ModelSpec, i: int) -> np.ndarray:
+    """Start of a Cartesian oscillator's settling run."""
     if spec.kind == VAN_DER_POL:
         return np.array([1.0, 0.0])
-    if spec.kind == WILSON_COWAN:
-        x0, y0 = wc_equilibrium(spec, i)
-        return np.array([x0 + 0.05, y0])
-    return np.array([0.0, 1.2])
+    x0, y0 = wc_equilibrium(spec, i)
+    return np.array([x0 + 0.05, y0])
 
 
 def estimate_frame(spec: ModelSpec) -> list[ObservableFrame]:

@@ -183,9 +183,10 @@ def default_config(kind: str, out_dir: str, seed: int = 0) -> PipelineConfig:
                           out_dir=out_dir, seed=seed, **KIND_DEFAULTS[kind])
 
 
-def _read(out_dir: str, name: str) -> dict:
-    """The artifact ``<name>.json`` of a run directory, checked against schema ``name``."""
-    return serialize.read_json(os.path.join(out_dir, f"{name}.json"), name)
+def _read(out_dir: str, name: str, decode):
+    """``decode`` of the artifact ``<name>.json`` of a run directory, checked
+    against schema ``name``."""
+    return serialize.decode_json(os.path.join(out_dir, f"{name}.json"), name, decode)
 
 
 def _write(out_dir: str, name: str, doc: dict):
@@ -200,9 +201,9 @@ def _oscillator_fields(config: PipelineConfig, frames):
 
 
 def _load_cycles(out_dir: str):
-    oscillators = _read(out_dir, "limit_cycle")["oscillators"]
-    return ([models.ObservableFrame.from_dict(o["frame"]) for o in oscillators],
-            [LimitCycle.from_dict(o["cycle"]) for o in oscillators])
+    return _read(out_dir, "limit_cycle", lambda doc: (
+        [models.ObservableFrame.from_dict(o["frame"]) for o in doc["oscillators"]],
+        [LimitCycle.from_dict(o["cycle"]) for o in doc["oscillators"]]))
 
 
 def stage_limit_cycle(config: PipelineConfig) -> dict:
@@ -274,9 +275,9 @@ def stage_vf(config: PipelineConfig) -> dict:
 def stage_reduce(config: PipelineConfig) -> dict:
     """Map the fitted coupling into reduced space and export the heatmaps."""
     _, cycles = _load_cycles(config.out_dir)
-    nvf = vf_reconstruction.NetworkVF.from_dict(_read(config.out_dir, "network_vf"))
-    tsets = [TransformSet.from_dict(o["transforms"])
-             for o in _read(config.out_dir, "transforms")["oscillators"]]
+    nvf = _read(config.out_dir, "network_vf", vf_reconstruction.NetworkVF.from_dict)
+    tsets = _read(config.out_dir, "transforms", lambda doc: [
+        TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]])
     grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     stats = [(float(g.min()), float(g.max()))
              for g in (c.gamma_at(grid) for c in cycles)]
@@ -333,11 +334,11 @@ def stage_compare(config: PipelineConfig) -> dict:
     tol = TOLERANCES
     frames, cycles = _load_cycles(config.out_dir)
     vfs = _oscillator_fields(config, frames)
-    transformed = _read(config.out_dir, "transforms")["oscillators"]
-    tsets = [TransformSet.from_dict(o["transforms"]) for o in transformed]
-    lam_slopes = [o["lambda_slope"] for o in transformed]
-    nvf = vf_reconstruction.NetworkVF.from_dict(_read(config.out_dir, "network_vf"))
-    rc = coupling.ReducedCoupling.from_dict(_read(config.out_dir, "reduced_coupling"))
+    tsets, lam_slopes = _read(config.out_dir, "transforms", lambda doc: (
+        [TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]],
+        [float(o["lambda_slope"]) for o in doc["oscillators"]]))
+    nvf = _read(config.out_dir, "network_vf", vf_reconstruction.NetworkVF.from_dict)
+    rc = _read(config.out_dir, "reduced_coupling", coupling.ReducedCoupling.from_dict)
 
     try:
         truths = [models.analytic_ground_truth(spec, i)
@@ -410,8 +411,9 @@ def stage_compare(config: PipelineConfig) -> dict:
     # Fitted uncoupled field against the model's own uncoupled field at
     # observed data points (first trial, decimated).
     trials_dir = os.path.join(config.out_dir, "trials")
-    manifest = serialize.read_json(os.path.join(trials_dir, "manifest.json"), "trials")
-    trial = serialize.read_trial_csv(os.path.join(trials_dir, manifest["files"][0]))
+    trial = serialize.read_trial_csv(serialize.decode_json(
+        os.path.join(trials_dir, "manifest.json"), "trials",
+        lambda manifest: os.path.join(trials_dir, manifest["files"][0])))
     for i in range(spec.n_oscillators):
         th_d, r_d = trial.theta[::10, i], trial.r[::10, i]
         fitted = vf_reconstruction.eval_uncoupled(nvf, i, th_d, r_d)

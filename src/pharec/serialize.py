@@ -19,6 +19,7 @@ from .vf_reconstruction import Trial, TrialSet
 __all__ = [
     "write_json",
     "read_json",
+    "decode_json",
     "write_rows",
     "read_rows",
     "write_trial_csv",
@@ -54,6 +55,16 @@ def read_json(path: str, schema: str) -> dict:
     if doc.get("schema") != expected:
         raise IoError(f"{path}: expected schema {expected}, got {doc.get('schema')}")
     return doc
+
+
+def decode_json(path: str, schema: str, decode):
+    """``decode(read_json(path, schema))``; a document that lacks a key, an
+    item or a value type that ``decode`` needs is an IoError naming ``path``."""
+    doc = read_json(path, schema)
+    try:
+        return decode(doc)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise IoError(f"{path}: malformed {schema} document: {exc!r}") from exc
 
 
 def write_rows(path: str, rows, header: list[str] | None = None):
@@ -95,6 +106,8 @@ def read_trial_csv(path: str) -> Trial:
     data = read_rows(path)
     if data.ndim != 2 or (data.shape[1] - 1) % 2 != 0:
         raise IoError(f"{path}: malformed trial file")
+    if not np.isfinite(data).all():
+        raise IoError(f"{path}: every trial value must be a finite number")
     n_osc = (data.shape[1] - 1) // 2
     return Trial(times=data[:, 0],
                  theta=data[:, 1:1 + 2 * n_osc:2],
@@ -115,11 +128,10 @@ def write_trial_set(out_dir: str, trial_set: TrialSet) -> list[str]:
 
 
 def read_trial_set(out_dir: str) -> TrialSet:
-    manifest = read_json(os.path.join(out_dir, "manifest.json"), "trials")
-    trials = [read_trial_csv(os.path.join(out_dir, name))
-              for name in manifest["files"]]
-    return TrialSet(trials=trials, step=manifest["step"],
-                    metadata=manifest["metadata"])
+    paths, step, metadata = decode_json(
+        os.path.join(out_dir, "manifest.json"), "trials",
+        lambda m: ([os.path.join(out_dir, f) for f in m["files"]], m["step"], m["metadata"]))
+    return TrialSet([read_trial_csv(path) for path in paths], step, metadata)
 
 
 def write_heatmap_csv(path: str, matrix: np.ndarray):

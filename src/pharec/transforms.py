@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import ReducedSample
-from .basis import FittedSeries, SingleBasisSpec, _grad_rows, single_row
+from .basis import (FittedSeries, SingleBasisSpec, series_eval, series_eval_grad,
+                    single_row)
 from .errors import InsufficientSamples
 from .limit_cycle import LimitCycle
 from .ridge import ridge_fit
@@ -43,24 +44,20 @@ class TransformSet:
     sigma_domain: tuple[float, float]
 
     def inverse(self, theta, r):
-        """(Phi, sigma) at (theta, r) from one basis row; each coefficient
-        vector is contracted on its own, keeping series_eval's gemv bits."""
-        row = single_row(self.inverse_phase.spec, theta, r)
-        return (np.asarray(theta, dtype=float) + row @ self.inverse_phase.coefficients,
-                row @ self.inverse_amplitude.coefficients)
+        """(Phi, sigma) at (theta, r)."""
+        return (np.asarray(theta, dtype=float) + series_eval(self.inverse_phase, theta, r),
+                series_eval(self.inverse_amplitude, theta, r))
 
     def inverse_grad(self, theta, r):
         """(Phi, dPhi/dtheta, dPhi/dr) and (sigma, dsigma/dtheta, dsigma/dr)."""
-        rows = _grad_rows(self.inverse_phase.spec, (theta, r))
-        val, dth, dr = (row @ self.inverse_phase.coefficients for row in rows)
+        val, dth, dr = series_eval_grad(self.inverse_phase, theta, r)
         return ((np.asarray(theta, dtype=float) + val, 1.0 + dth, dr),
-                tuple(row @ self.inverse_amplitude.coefficients for row in rows))
+                series_eval_grad(self.inverse_amplitude, theta, r))
 
     def forward(self, phi, sigma):
-        """(K_theta, K_r) at (phi, sigma) from one basis row."""
-        row = single_row(self.forward_angle.spec, phi, sigma)
-        return (np.asarray(phi, dtype=float) + row @ self.forward_angle.coefficients,
-                row @ self.forward_radius.coefficients)
+        """(K_theta, K_r) at (phi, sigma)."""
+        return (np.asarray(phi, dtype=float) + series_eval(self.forward_angle, phi, sigma),
+                series_eval(self.forward_radius, phi, sigma))
 
     def to_dict(self) -> dict:
         return {

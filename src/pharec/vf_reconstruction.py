@@ -16,7 +16,7 @@ import numpy as np
 
 from . import models, ode
 from .basis import (FittedSeries, PairBasisSpec, SingleBasisSpec, pair_row,
-                    single_row, spec_from_dict)
+                    series_eval, single_row, spec_from_dict)
 from .errors import InsufficientCoverage, NonUniformSampling, TooShort
 from .limit_cycle import STEPS_PER_PERIOD, LimitCycle
 from .ridge import ridge_fit_multi
@@ -54,10 +54,6 @@ class TrialSet:
     trials: list
     step: float
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def n_oscillators(self) -> int:
-        return self.trials[0].n_oscillators
 
 
 def differentiate_trial(trial: Trial) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +160,7 @@ class NetworkVF:
                    single_spec=spec_from_dict(d["single_spec"]),
                    pair_spec=spec_from_dict(d["pair_spec"]),
                    uncoupled=unc, coupling=cpl,
-                   diagnostics=d.get("diagnostics", {}))
+                   diagnostics=d["diagnostics"])
 
 
 def _pooled_arrays(trial_set: TrialSet, row_budget: int):
@@ -234,16 +230,12 @@ def fit_network_vf(trial_set: TrialSet, single_spec: SingleBasisSpec,
 
 def eval_uncoupled(nvf: NetworkVF, i: int, theta, radius) -> np.ndarray:
     """Uncoupled (dtheta, dr) of oscillator i; trailing axis of length 2."""
-    # One row, contracted per component: a row @ (size, 2) matrix goes through
-    # BLAS gemm, whose last bit can differ from the per-vector gemv of series_eval.
-    row = single_row(nvf.single_spec, theta, radius)
-    return np.stack([row @ nvf.uncoupled[(i, c)].coefficients
+    return np.stack([series_eval(nvf.uncoupled[(i, c)], theta, radius)
                      for c in COMPONENTS], axis=-1)
 
 
 def eval_coupling(nvf: NetworkVF, i: int, j: int, theta_i, r_i,
                   theta_j, r_j) -> np.ndarray:
     """Coupling contribution of oscillator j to oscillator i's derivatives."""
-    row = pair_row(nvf.pair_spec, theta_i, r_i, theta_j, r_j)
-    return np.stack([row @ nvf.coupling[(i, j, c)].coefficients
+    return np.stack([series_eval(nvf.coupling[(i, j, c)], theta_i, r_i, theta_j, r_j)
                      for c in COMPONENTS], axis=-1)

@@ -118,6 +118,49 @@ def test_series_eval_and_gradients_pair():
         assert grad == pytest.approx(num, abs=1e-6)
 
 
+def test_fitted_maps_are_series_eval_bit_for_bit():
+    """TransformSet.inverse/forward/inverse_grad and eval_uncoupled/
+    eval_coupling give exactly series_eval/series_eval_grad of their series,
+    on a batch and at a scalar point: one gemv per coefficient vector, never
+    a row @ matrix (gemm), whose last bit can differ."""
+    from pharec import transforms
+    from pharec import vf_reconstruction as vfr
+    rng = np.random.default_rng(4)
+    single, pair = basis.SingleBasisSpec(4, 5), basis.PairBasisSpec(3, 2, 2)
+
+    def fitted(spec):
+        return basis.FittedSeries(spec, rng.normal(size=spec.size))
+
+    ts = transforms.TransformSet(*(fitted(single) for _ in range(4)),
+                                 r_domain=(0.8, 1.3), sigma_domain=(-0.3, 0.3))
+    nvf = vfr.NetworkVF(2, single, pair,
+                        uncoupled={(0, c): fitted(single) for c in vfr.COMPONENTS},
+                        coupling={(0, 1, c): fitted(pair) for c in vfr.COMPONENTS})
+    batch = [rng.uniform(0.0, 2 * np.pi, (13, 7)), rng.uniform(0.8, 1.3, (13, 7))]
+    for th, r in (batch, (0.7, 1.1)):
+        pt = (th, r, np.add(th, 1.0), np.multiply(r, 0.9))
+        val, dth, dr = basis.series_eval_grad(ts.inverse_phase, th, r)
+        pairs = [
+            (ts.inverse(th, r), (th + basis.series_eval(ts.inverse_phase, th, r),
+                                 basis.series_eval(ts.inverse_amplitude, th, r))),
+            (ts.forward(th, r), (th + basis.series_eval(ts.forward_angle, th, r),
+                                 basis.series_eval(ts.forward_radius, th, r))),
+            (ts.inverse_grad(th, r)[0], (th + val, 1.0 + dth, dr)),
+            (ts.inverse_grad(th, r)[1],
+             basis.series_eval_grad(ts.inverse_amplitude, th, r)),
+            ((vfr.eval_uncoupled(nvf, 0, th, r),),
+             (np.stack([basis.series_eval(nvf.uncoupled[(0, c)], th, r)
+                        for c in vfr.COMPONENTS], axis=-1),)),
+            ((vfr.eval_coupling(nvf, 0, 1, *pt),),
+             (np.stack([basis.series_eval(nvf.coupling[(0, 1, c)], *pt)
+                        for c in vfr.COMPONENTS], axis=-1),)),
+        ]
+        for got, want in pairs:
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
 def test_coefficient_lookup():
     spec = basis.SingleBasisSpec(2, 2)
     series = basis.FittedSeries(spec, np.arange(spec.size, dtype=float))

@@ -144,6 +144,29 @@ def test_reconstruct_vf_rejects_uneven_trial_times(tmp_path, capsys):
     assert not (tmp_path / "network_vf.json").exists()
 
 
+def test_reconstruct_vf_rejects_non_finite_trial_values(tmp_path, capsys):
+    """A nan in r_1 over 50 rows or in a single row, or an inf angle, in a
+    trial CSV exits 2 with one line naming the file and writes no
+    network_vf.json."""
+    from pharec import pipeline, serialize
+    from pharec.vf_reconstruction import Trial, TrialSet
+    doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
+    serialize.write_json(str(tmp_path / "config.json"), doc, "config")
+    t = np.arange(200) * 0.05
+    for rows, column, value in ((slice(100, 150), "r", np.nan),
+                                (slice(120, 121), "r", np.nan),
+                                (slice(10, 11), "theta", np.inf)):
+        theta = np.mod(np.stack([t, 1.3 * t], axis=1), 2 * np.pi)
+        trial = Trial(t, theta, np.ones_like(theta))
+        getattr(trial, column)[rows, 0] = value
+        serialize.write_trial_set(str(tmp_path / "trials"), TrialSet([trial], 0.05))
+        assert cli.main(["reconstruct-vf", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "trial_0000.csv" in err and "finite" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "network_vf.json").exists()
+
+
 def test_extract_subcommand(tmp_path):
     t = np.arange(0, 60.0, 0.01)
     src = tmp_path / "signal.csv"
@@ -170,6 +193,51 @@ def test_stage_rerun_is_bitwise_stable(pipeline_runs):
     before = open(path, "rb").read()
     assert cli.main(["transforms", "--from", run.out_dir]) == cli.EXIT_PASS
     assert open(path, "rb").read() == before
+
+
+def test_malformed_artifact_is_usage_error(pipeline_runs, tmp_path, capsys):
+    """A limit_cycle.json whose cycle lacks lam makes the transforms stage
+    exit 2 with one stderr line naming the file, and write nothing."""
+    run = pipeline_runs["radial_isochron_clock"]
+    for name in ("config.json", "limit_cycle.json"):
+        shutil.copyfile(os.path.join(run.out_dir, name), tmp_path / name)
+    doc = json.loads((tmp_path / "limit_cycle.json").read_text())
+    del doc["oscillators"][1]["cycle"]["lam"]
+    (tmp_path / "limit_cycle.json").write_text(json.dumps(doc))
+    assert cli.main(["transforms", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "limit_cycle.json" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "transforms.json").exists()
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("transforms.json", ["oscillators", 0, "lambda_slope"]),
+    ("network_vf.json", ["diagnostics"]),
+    ("reduced_coupling.json", ["fallback"]),
+    (os.path.join("trials", "manifest.json"), ["files"]),
+])
+def test_compare_rejects_artifact_without_a_key(pipeline_runs, tmp_path, capsys,
+                                                name, keys):
+    """Every artifact compare reads needs every key its writer writes: a
+    missing one exits 2 with one stderr line naming the file, and no
+    report.json is written."""
+    run = pipeline_runs["radial_isochron_clock"]
+    os.makedirs(tmp_path / "trials")
+    for copy in ("config.json", "limit_cycle.json", "transforms.json",
+                 "network_vf.json", "reduced_coupling.json",
+                 os.path.join("trials", "manifest.json"),
+                 os.path.join("trials", "trial_0000.csv")):
+        shutil.copyfile(os.path.join(run.out_dir, copy), tmp_path / copy)
+    doc = json.loads((tmp_path / name).read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    (tmp_path / name).write_text(json.dumps(doc))
+    assert cli.main(["compare", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / name) in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):

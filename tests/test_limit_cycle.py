@@ -65,14 +65,6 @@ def test_expanding_cycle_rejected(ric_cycle):
         limit_cycle.floquet_from_monodromy(vf, bad_jac, cycle)
 
 
-def test_linear_response_curve_periodic(ric_cycle):
-    _, vf, jac, cycle = ric_cycle
-    phis, curves = limit_cycle.k1_oracle(vf, jac, cycle, cycle.lam, n_phi=128)
-    assert phis[0] == 0.0 and phis[-1] == pytest.approx(2 * np.pi, rel=1e-9)
-    assert curves[0, 1] == pytest.approx(1.0)
-    np.testing.assert_allclose(curves[-1], curves[0], atol=1e-6)
-
-
 def test_noncircular_cycle_profile():
     spec = models.default_spec("van_der_pol")
     frame = models.estimate_frame(spec)[0]

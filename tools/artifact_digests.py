@@ -9,8 +9,10 @@ WORK_DIR/pipeline_<kind>, since the workloads alone never run
 ``stage_compare`` on a Cartesian model. Everything runs with one
 BLAS/OpenMP thread and fails unless every report row passes. Prints JSON
 mapping ``<name>/relpath`` to sha256 for each file in each output
-directory, except ``config.json``, which records that directory. Run it in
-two checkouts and ``diff`` the outputs to check byte identity.
+directory, except ``config.json``, which records that directory, and the
+sha256 of that output (what ``sha256sum digests.json`` gives) on stderr.
+Run it in two checkouts and ``diff`` the outputs, or compare the one hash,
+to check byte identity.
 """
 
 import argparse
@@ -65,7 +67,9 @@ def main(argv=None) -> int:
         if failing:
             raise SystemExit(f"{name}: report rows fail: {failing}")
         _digest_dir(digests, name, config.out_dir)
-    print(json.dumps(digests, indent=1, sort_keys=True))
+    text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    print(f"sha256 {hashlib.sha256(text.encode()).hexdigest()}", file=sys.stderr)
     return 0
 
 

@@ -79,11 +79,14 @@ class LimitCycle:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LimitCycle":
+        lam = d["lam"]
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not np.isfinite(lam):
+            raise ValueError(f"lam must be a finite number, not {lam!r}")
         return cls(period=d["period"], omega=d["omega"],
                    gamma=FittedSeries.from_dict(d["gamma"]),
                    anchor=(d["anchor"][0], d["anchor"][1]),
                    gamma_resid=d["gamma_resid"],
-                   lam=d["lam"],
+                   lam=float(lam),
                    monodromy=None if d["monodromy"] is None else np.asarray(d["monodromy"]))
 
 

@@ -200,10 +200,27 @@ def _oscillator_fields(config: PipelineConfig, frames):
             for i in range(spec.n_oscillators)]
 
 
-def _load_cycles(out_dir: str):
-    return _read(out_dir, "limit_cycle", lambda doc: (
+def _counted(n_oscillators: int | None, decode, count=lambda doc: len(doc["oscillators"])):
+    """``decode`` of an artifact that must hold ``n_oscillators`` oscillators
+    (any number when None); a mismatch is a ValueError, so ``_read`` reports
+    a malformed artifact naming the file."""
+    def checked(doc):
+        if n_oscillators is not None and count(doc) != n_oscillators:
+            raise ValueError(f"{count(doc)} oscillators, but the model has {n_oscillators}")
+        return decode(doc)
+    return checked
+
+
+def _load_cycles(out_dir: str, n_oscillators: int | None = None):
+    return _read(out_dir, "limit_cycle", _counted(n_oscillators, lambda doc: (
         [models.ObservableFrame.from_dict(o["frame"]) for o in doc["oscillators"]],
-        [LimitCycle.from_dict(o["cycle"]) for o in doc["oscillators"]]))
+        [LimitCycle.from_dict(o["cycle"]) for o in doc["oscillators"]])))
+
+
+def _load_network_vf(config: PipelineConfig):
+    return _read(config.out_dir, "network_vf", _counted(
+        config.model_spec.n_oscillators, vf_reconstruction.NetworkVF.from_dict,
+        lambda doc: doc["n_oscillators"]))
 
 
 def stage_limit_cycle(config: PipelineConfig) -> dict:
@@ -228,7 +245,7 @@ def stage_limit_cycle(config: PipelineConfig) -> dict:
 
 def stage_transforms(config: PipelineConfig) -> dict:
     """Reduced-coordinate sampling and transform fits, one set per oscillator."""
-    frames, cycles = _load_cycles(config.out_dir)
+    frames, cycles = _load_cycles(config.out_dir, config.model_spec.n_oscillators)
     vfs = _oscillator_fields(config, frames)
     oscillators = []
     for i, cycle in enumerate(cycles):
@@ -253,7 +270,7 @@ def stage_transforms(config: PipelineConfig) -> dict:
 
 def stage_simulate(config: PipelineConfig) -> dict:
     """Generate the synthetic trial files for the VF fit."""
-    frames, cycles = _load_cycles(config.out_dir)
+    frames, cycles = _load_cycles(config.out_dir, config.model_spec.n_oscillators)
     trial_set = vf_reconstruction.simulate_trial_set(
         config.model_spec, cycles, frames, n_trials=config.n_trials,
         periods=config.trial_periods, seed=config.seed,
@@ -274,10 +291,11 @@ def stage_vf(config: PipelineConfig) -> dict:
 
 def stage_reduce(config: PipelineConfig) -> dict:
     """Map the fitted coupling into reduced space and export the heatmaps."""
-    _, cycles = _load_cycles(config.out_dir)
-    nvf = _read(config.out_dir, "network_vf", vf_reconstruction.NetworkVF.from_dict)
-    tsets = _read(config.out_dir, "transforms", lambda doc: [
-        TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]])
+    n = config.model_spec.n_oscillators
+    _, cycles = _load_cycles(config.out_dir, n)
+    nvf = _load_network_vf(config)
+    tsets = _read(config.out_dir, "transforms", _counted(n, lambda doc: [
+        TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]]))
     grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     stats = [(float(g.min()), float(g.max()))
              for g in (c.gamma_at(grid) for c in cycles)]
@@ -332,12 +350,13 @@ def stage_compare(config: PipelineConfig) -> dict:
     """Tolerance report against analytic oracles and structural checks."""
     spec = config.model_spec
     tol = TOLERANCES
-    frames, cycles = _load_cycles(config.out_dir)
+    frames, cycles = _load_cycles(config.out_dir, spec.n_oscillators)
     vfs = _oscillator_fields(config, frames)
-    tsets, lam_slopes = _read(config.out_dir, "transforms", lambda doc: (
-        [TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]],
-        [float(o["lambda_slope"]) for o in doc["oscillators"]]))
-    nvf = _read(config.out_dir, "network_vf", vf_reconstruction.NetworkVF.from_dict)
+    tsets, lam_slopes = _read(config.out_dir, "transforms", _counted(
+        spec.n_oscillators, lambda doc: (
+            [TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]],
+            [float(o["lambda_slope"]) for o in doc["oscillators"]])))
+    nvf = _load_network_vf(config)
     rc = _read(config.out_dir, "reduced_coupling", coupling.ReducedCoupling.from_dict)
 
     try:

@@ -1,18 +1,16 @@
 """Ridge regression with generalized cross-validation (GCV).
 
-Every fitted map of the pipeline goes through here: the transformation
-maps, the network vector field and the reduced coupling tensors (the
-limit-cycle profile is a plain least-squares fit).  Each design is factored
-together with its targets: a Householder QR of [design | targets], taken
-over row blocks so that only one block is copied at a time (TSQR; Demmel,
-Grigori, Hoemmen & Langou 2012), leaves a small triangular R.  The SVD of
-R's design block gives the design's singular values and right singular
-vectors, and R's target block gives U^T y and each target's out-of-span
-residual, so U is never formed.  For each target column kappa is the
-minimizer, over a log-spaced grid on the design's spectral scale, of the
-GCV score residual^2 / tau^2 (Golub, Heath & Wahba 1979), where
-tau = N - sum rho_l^2/(rho_l^2 + kappa) is the effective number of residual
-degrees of freedom.
+Every fitted map but the limit-cycle profile (plain least squares) goes
+through here: the transformation maps, the network vector field and the
+reduced coupling tensors.  LAPACK's triangular-pentagonal QR (dtpqrt) folds
+each row block of [design | targets] into one small triangular R without
+factoring R again, one block copy at a time (TSQR; Demmel, Grigori, Hoemmen
+& Langou 2012).  The SVD of R's design block gives the design's singular
+values and right singular vectors, and R's target block gives U^T y and each
+target's exact out-of-span residual, so U is never formed.  Per target column
+kappa minimizes the GCV score residual^2 / tau^2 (Golub, Heath & Wahba 1979)
+over a log-spaced grid on the design's spectral scale; tau = N - sum
+rho_l^2/(rho_l^2 + kappa) is the effective number of residual degrees of freedom.
 """
 
 from __future__ import annotations
@@ -20,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ShapeMismatch, ZeroDof
 
 __all__ = ["RidgeFit", "ridge_fit", "ridge_fit_multi"]
 
 _RANK_TOL = 1e-14
-_QR_ROWS = 8192               # design rows per Householder QR step
+_QR_ROWS = 1024               # rows folded into R per dtpqrt call
+_QR_NB = 16                   # dtpqrt's panel width (both from a timing sweep)
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,12 @@ def _coefficients(s, vt, u_t_y, kappa: float) -> np.ndarray:
 
 
 def _select(s, u_t_y, perp_sq: float, n_rows: int, grid):
-    """(gcv, kappa, residual norm) of the GCV minimizer over ``grid``.
-
-    Ties go to the larger kappa; candidates with tau <= 1e-12 are skipped.
-    In the SVD frame the in-span part of the residual is shrunk by
-    kappa/(rho^2+kappa) and the out-of-span energy ``perp_sq`` passes
-    through.  Both are sums of squares, never a difference such as
-    ||y||^2 - fitted terms, so nothing cancels at small kappa or for a
-    target almost in span; computing tau from the same filter keeps the GCV
-    ratio exact for flat spectra.
-    """
+    """(gcv, kappa, residual norm) of the GCV minimizer over ``grid``; ties go
+    to the larger kappa, and candidates with tau <= 1e-12 are skipped.  The
+    residual is a sum of squares, never a difference such as ||y||^2 - fitted
+    terms: the in-span part is shrunk by kappa/(rho^2+kappa) and the
+    out-of-span energy ``perp_sq`` passes through, so nothing cancels; tau
+    from the same filter keeps the GCV ratio exact for flat spectra."""
     best = None
     for k in grid:
         damp = np.zeros_like(s) if k == 0.0 else k / (s ** 2 + k)
@@ -82,30 +78,34 @@ def _select(s, u_t_y, perp_sq: float, n_rows: int, grid):
     return best
 
 
-def _fits(design, targets, targets_ndim: int) -> list[RidgeFit]:
-    """QR of ``[design | targets]``, then one SVD of R's design block; one
-    GCV fit per target column."""
-    design = np.asarray(design, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if design.ndim != 2 or targets.ndim != targets_ndim:
-        raise ShapeMismatch(f"design must be 2-d and targets {targets_ndim}-d")
-    if design.shape[0] != targets.shape[0]:
-        raise ShapeMismatch("design rows must match target length")
-    n_rows, n_cols = design.shape
-    if targets_ndim == 1:
-        targets = targets[:, None]
-    r = np.empty((0, n_cols + targets.shape[1]))
+def _r_factor(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The (width x width) R of ``[design | targets]``, one row block at a time."""
+    n_rows, cols = design.shape[0], design.shape[1] + targets.shape[1]
+    r, nb = np.zeros((cols, cols), order="F"), min(_QR_NB, cols)
     for lo in range(0, n_rows, _QR_ROWS):
-        hi = lo + _QR_ROWS
-        r = np.linalg.qr(np.block([[r], [design[lo:hi], targets[lo:hi]]]), mode="r")
-    # design = Q[:, :p] R[:p, :n_cols], and R has zeros below that block.
-    p = min(n_rows, n_cols)
-    u_r, s, vt = np.linalg.svd(r[:p, :n_cols], full_matrices=False)
+        hi = min(lo + _QR_ROWS, n_rows)
+        block = np.empty((hi - lo, cols), order="F")        # LAPACK's order, as is r
+        np.concatenate([design[lo:hi], targets[lo:hi]], axis=1, out=block)
+        r, _, _, info = lapack.dtpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtpqrt argument {-info} is invalid")
+    return r
+
+
+def _fits(design, targets, targets_ndim: int) -> list[RidgeFit]:
+    """R, one SVD of R's design block, one GCV fit per target column."""
+    design, targets = np.asarray(design, dtype=float), np.asarray(targets, dtype=float)
+    if design.ndim != 2 or targets.ndim != targets_ndim or len(design) != len(targets):
+        raise ShapeMismatch(f"need a 2-d design and {targets_ndim}-d targets, rows matching")
+    n_rows, n_cols = design.shape
+    r = _r_factor(design, targets[:, None] if targets_ndim == 1 else targets)
+    # design = Q R[:n_cols, :n_cols]; past N rows its singular values are rounding.
+    u_r, s, vt = np.linalg.svd(r[:n_cols, :n_cols], full_matrices=False)
     grid = _kappa_grid(s, n_rows, n_cols)
     fits = []
     for y_r in r[:, n_cols:].T:
-        u_t_y = u_r.T @ y_r[:p]
-        gcv, kappa, resid = _select(s, u_t_y, float(y_r[p:] @ y_r[p:]), n_rows, grid)
+        u_t_y = u_r.T @ y_r[:n_cols]
+        gcv, kappa, resid = _select(s, u_t_y, float(y_r[n_cols:] @ y_r[n_cols:]), n_rows, grid)
         fits.append(RidgeFit(_coefficients(s, vt, u_t_y, kappa), kappa, gcv, resid))
     return fits
 

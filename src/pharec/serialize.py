@@ -128,9 +128,11 @@ def write_trial_set(out_dir: str, trial_set: TrialSet) -> list[str]:
 
 
 def read_trial_set(out_dir: str) -> TrialSet:
-    paths, step, metadata = decode_json(
-        os.path.join(out_dir, "manifest.json"), "trials",
-        lambda m: ([os.path.join(out_dir, f) for f in m["files"]], m["step"], m["metadata"]))
+    manifest = os.path.join(out_dir, "manifest.json")
+    paths, step, metadata = decode_json(manifest, "trials", lambda m: (
+        [os.path.join(out_dir, f) for f in m["files"]], m["step"], m["metadata"]))
+    if not paths:
+        raise IoError(f"{manifest}: lists no trial files")
     return TrialSet([read_trial_csv(path) for path in paths], step, metadata)
 
 

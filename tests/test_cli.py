@@ -167,6 +167,21 @@ def test_reconstruct_vf_rejects_non_finite_trial_values(tmp_path, capsys):
         assert not (tmp_path / "network_vf.json").exists()
 
 
+def test_reconstruct_vf_rejects_empty_trial_manifest(tmp_path, capsys):
+    """A trials manifest that lists no files exits 2 with one line naming
+    the manifest and writes no network_vf.json."""
+    from pharec import pipeline, serialize
+    from pharec.vf_reconstruction import TrialSet
+    doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
+    serialize.write_json(str(tmp_path / "config.json"), doc, "config")
+    serialize.write_trial_set(str(tmp_path / "trials"), TrialSet([], 0.05))
+    assert cli.main(["reconstruct-vf", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "trials" / "manifest.json") in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "network_vf.json").exists()
+
+
 def test_extract_subcommand(tmp_path):
     t = np.arange(0, 60.0, 0.01)
     src = tmp_path / "signal.csv"
@@ -238,6 +253,61 @@ def test_compare_rejects_artifact_without_a_key(pipeline_runs, tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(tmp_path / name) in err and len(err.splitlines()) == 1
     assert not (tmp_path / "report.json").exists()
+
+
+def _copy_run(run, tmp_path, names):
+    os.makedirs(tmp_path / "trials")
+    for name in names:
+        shutil.copyfile(os.path.join(run.out_dir, name), tmp_path / name)
+
+
+_ARTIFACTS = ("config.json", "limit_cycle.json", "transforms.json", "network_vf.json",
+              os.path.join("trials", "manifest.json"), os.path.join("trials", "trial_0000.csv"))
+
+
+def _keep_oscillator_0(name: str, doc: dict):
+    """Cut a two-oscillator artifact down to its oscillator 0."""
+    if name == "network_vf.json":
+        doc["n_oscillators"] = 1
+        for part in ("uncoupled", "coupling"):
+            doc[part] = {k: v for k, v in doc[part].items() if "1" not in k.split(":")}
+    else:
+        doc["oscillators"] = doc["oscillators"][:1]
+
+
+@pytest.mark.parametrize("name", ["limit_cycle.json", "transforms.json", "network_vf.json"])
+@pytest.mark.parametrize("command, output", [("reduce-coupling", "reduced_coupling.json"),
+                                             ("compare", "report.json")])
+def test_oscillator_count_must_match_the_model(pipeline_runs, tmp_path, capsys,
+                                               name, command, output):
+    """An artifact cut to one oscillator of a two-oscillator model exits 2
+    with one stderr line naming the file, and the stage writes nothing."""
+    run = pipeline_runs["canonical"]
+    _copy_run(run, tmp_path, _ARTIFACTS + (("reduced_coupling.json",)
+                                           if command == "compare" else ()))
+    doc = json.loads((tmp_path / name).read_text())
+    _keep_oscillator_0(name, doc)
+    (tmp_path / name).write_text(json.dumps(doc))
+    assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / name) in err and "oscillators" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("lam", [None, "-0.5", True, []])
+def test_cycle_without_a_finite_lam_is_usage_error(pipeline_runs, tmp_path, capsys, lam):
+    """A cycle's lam must be a finite number: reduce-coupling exits 2 with
+    one stderr line naming limit_cycle.json and writes no reduced_coupling.json."""
+    _copy_run(pipeline_runs["canonical"], tmp_path, _ARTIFACTS)
+    doc = json.loads((tmp_path / "limit_cycle.json").read_text())
+    doc["oscillators"][0]["cycle"]["lam"] = lam
+    (tmp_path / "limit_cycle.json").write_text(json.dumps(doc))
+    assert cli.main(["reduce-coupling", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "limit_cycle.json") in err and "lam" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "reduced_coupling.json").exists()
 
 
 def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):

@@ -171,9 +171,18 @@ def dense_reference(design, y):
     return vt.T @ (filt * u_t_y), k, gcv, resid
 
 
+def block_row_counts():
+    """Row counts at the QR's block edges: one block, one block + 1, three
+    blocks + 7."""
+    rows = ridge._QR_ROWS
+    return [rows, rows + 1, 3 * rows + 7]
+
+
 def reference_designs():
     rng = np.random.default_rng(13)
-    for n, m in [(60, 12), (200, 10), (8192, 12), (8193, 12), (20000, 12)]:
+    # (13, 12): one block with fewer rows than [design | targets] has columns.
+    for n, m in [(60, 12), (200, 10), (8192, 12), (8193, 12), (20000, 12),
+                 (13, 12)] + [(n, 12) for n in block_row_counts()]:
         design = rng.normal(size=(n, m))
         # Noise of 1 and of 1e-3: a shrunk fit and (near) least squares.
         noise = np.array([[1.0], [1e-3]]) * rng.normal(size=(2, n))
@@ -184,6 +193,10 @@ def reference_designs():
     yield rng.normal(size=(15, 15)), rng.normal(size=(2, 15))        # square
     yield rng.normal(size=(9, 14)), rng.normal(size=(2, 9))          # underdetermined
     yield np.zeros((30, 5)), rng.normal(size=(2, 30))                # all zero
+    # Wider than a block, so the first block has fewer rows than R.
+    n, m = 2 * ridge._QR_ROWS + 7, ridge._QR_ROWS + 8
+    design = rng.normal(size=(n, m))
+    yield design, design @ rng.normal(size=m) + rng.normal(size=(2, n))
 
 
 def test_engine_matches_dense_svd_reference():
@@ -210,3 +223,35 @@ def test_rerun_is_bitwise_identical():
         assert np.array_equal(a.coefficients, b.coefficients)
         assert (a.kappa, a.gcv_value, a.residual_norm) == (
             b.kappa, b.gcv_value, b.residual_norm)
+
+
+def test_streamed_r_matches_one_shot_qr():
+    """The block-by-block R of [design | targets] is the R of one QR of the
+    whole matrix, up to the sign of each row; with fewer rows than columns,
+    R's rows past the one-shot R's hold only rounding."""
+    rng = np.random.default_rng(19)
+    n_cols = [12, 12, 12, 12, ridge._QR_ROWS + 8]
+    for n, m in zip([13, *block_row_counts(), 2 * ridge._QR_ROWS + 7], n_cols):
+        design, targets = rng.normal(size=(n, m)), rng.normal(size=(n, 2))
+        r = ridge._r_factor(design, targets)
+        ref = np.linalg.qr(np.hstack([design, targets]), mode="r")
+        assert r.shape == (m + 2, m + 2) and ref.shape == (min(n, m + 2), m + 2)
+        top = r[:len(ref)]
+        signs = np.sign(np.diag(top)) * np.sign(np.diag(ref))
+        tol = 1e-12 * np.abs(ref).max()
+        np.testing.assert_allclose(signs[:, None] * top, ref, rtol=0.0, atol=tol)
+        assert np.abs(r[len(ref):]).max(initial=0.0) <= tol
+
+
+def test_non_finite_design_raises_lin_alg_error():
+    """A nan or inf anywhere in the design (the first block or a later one)
+    raises LinAlgError, which the CLI maps to exit 3, and no fit comes back."""
+    rng = np.random.default_rng(23)
+    n = ridge._QR_ROWS + 50
+    for row, value in ((3, np.nan), (ridge._QR_ROWS + 20, np.nan), (7, np.inf)):
+        design = rng.normal(size=(n, 6))
+        design[row, 2] = value
+        with pytest.raises(np.linalg.LinAlgError):
+            ridge.ridge_fit(design, rng.normal(size=n))
+        with pytest.raises(np.linalg.LinAlgError):
+            ridge.ridge_fit_multi(design, rng.normal(size=(n, 2)))

@@ -33,8 +33,8 @@ FLOOR_ABS = 1e-12
 # Profile-fit residual enters the floor: below it, rho measures series
 # truncation of gamma rather than transverse decay.
 FLOOR_GAMMA_FACTOR = 10.0
-# Time steps integrated per lockstep block: two periods.
-_BLOCK_STEPS = 2 * STEPS_PER_PERIOD
+# Time steps integrated per lockstep block: half a period, to bound its temporaries.
+_BLOCK_STEPS = STEPS_PER_PERIOD // 2
 
 
 @dataclass(frozen=True)

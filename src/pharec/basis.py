@@ -237,13 +237,23 @@ def _outer(stacks) -> np.ndarray:
 
 
 def single_row(spec: SingleBasisSpec, theta, radius) -> np.ndarray:
-    """Basis row(s) at (theta, radius); broadcasts over leading axes."""
-    return _outer(_factors(spec, (theta, radius))[0])
+    """Basis row(s) at (theta, radius); broadcasts over leading axes.  With
+    n_max = 0 that is the harmonic stack itself, as x * r^0 == x."""
+    pw, ang = _factors(spec, (theta, radius))[0]
+    return ang if spec.n_max == 0 else _outer([pw, ang])
 
 
 def pair_row(spec: PairBasisSpec, theta_i, r_i, theta_j, r_j) -> np.ndarray:
     """Basis row(s) at (theta_i, r_i, theta_j, r_j); broadcasts over leading axes."""
     return _outer(_factors(spec, (theta_i, r_i, theta_j, r_j))[0])
+
+
+def row_slices(n: int, rows: int) -> list[slice]:
+    """Slices of ``rows`` consecutive rows covering range(n).  A lone last row
+    joins the slice before it: numpy's complex multiply takes one point by
+    another loop than two or more, so its basis row can differ in the last bit."""
+    stops = [*range(rows, n - 1, rows), n]
+    return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import ode
-from .basis import FittedSeries, SingleBasisSpec, single_row
+from .basis import FittedSeries, SingleBasisSpec, row_slices, single_row
 from .errors import ComplexMultiplier, NoConvergence
 
 __all__ = [
@@ -56,10 +56,8 @@ class LimitCycle:
             return single_row(self.gamma.spec, theta, np.ones_like(theta)) @ q
         out = np.empty(theta.shape)
         rows = max(1, _GAMMA_SLICE * len(theta) // theta.size)
-        stops = [*range(rows, len(theta) - 1, rows), len(theta)]
-        for lo, hi in zip([0, *stops], stops):
-            out[lo:hi] = single_row(self.gamma.spec, theta[lo:hi],
-                                    np.ones_like(theta[lo:hi])) @ q
+        for sl in row_slices(len(theta), rows):
+            out[sl] = single_row(self.gamma.spec, theta[sl], np.ones_like(theta[sl])) @ q
         return out
 
     @property

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import models, ode
 from .basis import (FittedSeries, PairBasisSpec, SingleBasisSpec, pair_row,
-                    series_eval, single_row, spec_from_dict)
+                    row_slices, series_eval, single_row, spec_from_dict)
 from .errors import InsufficientCoverage, NonUniformSampling, TooShort
 from .limit_cycle import STEPS_PER_PERIOD, LimitCycle
 from .ridge import ridge_fit_multi
@@ -34,6 +34,7 @@ __all__ = [
 
 COMPONENTS = ("theta", "r")
 TRIM = 2                      # samples dropped at each end after differencing
+_DESIGN_SLICE = 4096          # design rows filled per basis evaluation
 
 
 @dataclass(frozen=True)
@@ -164,21 +165,19 @@ class NetworkVF:
 
 
 def _pooled_arrays(trial_set: TrialSet, row_budget: int):
-    """Trimmed, decimated (theta, r, dtheta, dr) arrays of shape (rows, N)."""
-    th_list, r_list, dth_list, dr_list = [], [], [], []
+    """Trimmed (theta, r, dtheta, dr) arrays of shape (rows, N): every
+    stride-th row of the trials' concatenation, picked trial by trial so
+    that only the kept rows are ever concatenated."""
+    total = sum(trial.times.shape[0] - 2 * TRIM for trial in trial_set.trials)
+    stride = max(1, total // row_budget)
+    kept, offset = [], 0         # offset: trimmed rows of the trials before
     for trial in trial_set.trials:
         dth, dr = differentiate_trial(trial)
-        sl = slice(TRIM, trial.times.shape[0] - TRIM)
-        th_list.append(trial.theta[sl])
-        r_list.append(trial.r[sl])
-        dth_list.append(dth[sl])
-        dr_list.append(dr[sl])
-    th = np.concatenate(th_list)
-    r = np.concatenate(r_list)
-    dth = np.concatenate(dth_list)
-    dr = np.concatenate(dr_list)
-    stride = max(1, th.shape[0] // row_budget)
-    return th[::stride], r[::stride], dth[::stride], dr[::stride]
+        n = trial.times.shape[0]
+        sl = slice(TRIM + (-offset) % stride, n - TRIM, stride)
+        kept.append((trial.theta[sl], trial.r[sl], dth[sl], dr[sl]))
+        offset += n - 2 * TRIM
+    return tuple(np.concatenate(parts) for parts in zip(*kept))
 
 
 def _check_coverage(theta: np.ndarray):
@@ -197,8 +196,8 @@ def fit_network_vf(trial_set: TrialSet, single_spec: SingleBasisSpec,
     _check_coverage(th)
     n_osc = th.shape[1]
     uncoupled, coupling, diagnostics = {}, {}, {}
-    # One design buffer for every oscillator, refilled block by block, so no
-    # second design is alive while the next one is built.
+    # One design buffer for every oscillator, refilled block by block and a
+    # slice of rows at a time, so no second design or all-row temporary lives.
     design = np.empty((th.shape[0],
                        single_spec.size + (n_osc - 1) * pair_spec.size))
     for i in range(n_osc):
@@ -206,10 +205,11 @@ def fit_network_vf(trial_set: TrialSet, single_spec: SingleBasisSpec,
         # (oscillator j, first column of its pairwise block)
         blocks = [(j, single_spec.size + pos * pair_spec.size)
                   for pos, j in enumerate(others)]
-        design[:, :single_spec.size] = single_row(single_spec, th[:, i], r[:, i])
-        for j, lo in blocks:
-            design[:, lo:lo + pair_spec.size] = pair_row(
-                pair_spec, th[:, i], r[:, i], th[:, j], r[:, j])
+        for sl in row_slices(design.shape[0], _DESIGN_SLICE):
+            design[sl, :single_spec.size] = single_row(single_spec, th[sl, i], r[sl, i])
+            for j, lo in blocks:
+                design[sl, lo:lo + pair_spec.size] = pair_row(
+                    pair_spec, th[sl, i], r[sl, i], th[sl, j], r[sl, j])
         targets = np.stack([dth[:, i], dr[:, i]], axis=1)
         fits = ridge_fit_multi(design, targets)
         for comp, fit in zip(COMPONENTS, fits):

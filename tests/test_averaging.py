@@ -174,3 +174,32 @@ def test_streaming_batch_equals_whole_horizon_average(a, monkeypatch):
         check()
     else:
         assert set(periods) == {0, 1}
+
+
+@pytest.mark.parametrize("batch", [slice(None), slice(4, 5)])
+def test_block_size_leaves_the_samples_unchanged(batch, monkeypatch):
+    """The seven-IC batch and one of its initial conditions on its own give
+    the same bits at the old two-period block, at the default block, at a
+    block that does not divide the horizon and at the horizon less one
+    step, whose last block is a single step."""
+    spec = models.ModelSpec("radial_isochron_clock", {"a": (0.4,)}, [[0.0]])
+    vf = models.uncoupled_vf(spec, 0)
+    cycle = limit_cycle.find_limit_cycle(vf, np.array([0.3, 1.4]))
+    cycle = limit_cycle.floquet_from_monodromy(vf, models.uncoupled_jacobian(spec, 0),
+                                               cycle)
+    th = np.array([0.0, 0.7, 1.9, 2.6, 3.5, 4.4, 5.8])[batch]
+    u = np.array([1.25, 0.8, 1.0, 1.1, 0.95, 1.3, 0.78])[batch]
+    ics = np.stack([th, u * cycle.gamma_at(th)], axis=1)
+    n = averaging._horizon_steps(cycle, cycle.lam,
+                                 float(np.max(np.abs(ics[:, 1] - cycle.gamma_at(th)))))
+    default, odd = averaging._BLOCK_STEPS, n // 3 + 1
+    assert n % odd != 0
+
+    def samples(block):
+        monkeypatch.setattr(averaging, "_BLOCK_STEPS", block)
+        return [(s.phi0, s.sigma0)
+                for s in averaging.reduced_coordinates_batch(vf, cycle, ics)]
+
+    want = samples(2 * limit_cycle.STEPS_PER_PERIOD)
+    for block in (default, odd, n - 1):
+        assert samples(block) == want

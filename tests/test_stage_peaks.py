@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+
+from pharec import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_each_stage_runs_in_a_fresh_process_and_writes_only_under_work_dir(tmp_path):
+    work = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "stage_peaks.py"),
+         "radial_isochron_clock", str(work), "--trials", "2"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["stage", "peak_MB", "wall_s", "exit"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["(import)", *cli.STAGES]
+    for name, peak, wall, code in rows:
+        assert float(peak) > 0 and float(wall) > 0
+        assert int(code) in ((0, 1) if name == "compare" else (0,))
+    assert os.listdir(tmp_path) == ["run"]
+    assert {"config.json", "network_vf.json", "report.json"} <= set(os.listdir(work))

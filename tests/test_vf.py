@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,28 +125,43 @@ def test_coverage_check_rejects_arc_data():
         vfr._check_coverage(theta)
 
 
-def test_design_buffer_gives_the_bits_of_a_fresh_design():
-    # Three oscillators, so each refill of the shared design buffer rewrites
-    # two pairwise blocks; a stale or shifted block changes the coefficients.
-    rng = np.random.default_rng(8)
-    t = np.arange(1500) * 0.01
+def random_trials(rng, lengths, n_osc, step=0.01):
+    """Trials of the given lengths: each oscillator turns at its own rate
+    from a random phase, its radius wobbling around 1."""
     trials = []
-    for _ in range(3):
-        omega = rng.uniform(0.9, 1.7, size=3)
-        theta = omega * t[:, None] + rng.uniform(0, 2 * np.pi, size=3)
-        r = 1.0 + 0.2 * np.sin(rng.uniform(0.3, 2.0, size=3) * t[:, None]
-                               + rng.uniform(0, 2 * np.pi, size=3))
+    for n in lengths:
+        t = np.arange(n) * step
+        omega = rng.uniform(0.9, 1.7, size=n_osc)
+        theta = omega * t[:, None] + rng.uniform(0, 2 * np.pi, size=n_osc)
+        r = 1.0 + 0.2 * np.sin(rng.uniform(0.3, 2.0, size=n_osc) * t[:, None]
+                               + rng.uniform(0, 2 * np.pi, size=n_osc))
         trials.append(vfr.Trial(times=t, theta=theta, r=r))
-    trial_set = vfr.TrialSet(trials=trials, step=0.01)
-    single = SingleBasisSpec(2, 2)
-    pair = PairBasisSpec(1, 1, 1, "observable")
-    nvf = vfr.fit_network_vf(trial_set, single, pair, row_budget=2000)
+    return vfr.TrialSet(trials=trials, step=step)
 
+
+def reference_pooled(trial_set, row_budget):
+    """Every trimmed trial concatenated, then every stride-th row kept."""
+    columns = [[], [], [], []]
+    for trial in trial_set.trials:
+        dth, dr = vfr.differentiate_trial(trial)
+        sl = slice(vfr.TRIM, trial.times.shape[0] - vfr.TRIM)
+        for col, x in zip(columns, (trial.theta, trial.r, dth, dr)):
+            col.append(x[sl])
+    pooled = [np.concatenate(col) for col in columns]
+    stride = max(1, pooled[0].shape[0] // row_budget)
+    return [x[::stride] for x in pooled]
+
+
+def assert_one_shot_bits(trial_set, single, pair, row_budget):
+    """fit_network_vf gives exactly the coefficients and kappa of one ridge
+    fit per oscillator on a design built over every pooled row at once."""
     from pharec.basis import pair_row, single_row
     from pharec.ridge import ridge_fit_multi
-    th, r, dth, dr = vfr._pooled_arrays(trial_set, 2000)
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
+    nvf = vfr.fit_network_vf(trial_set, single, pair, row_budget)
+    th, r, dth, dr = reference_pooled(trial_set, row_budget)
+    n_osc = th.shape[1]
+    for i in range(n_osc):
+        others = [j for j in range(n_osc) if j != i]
         design = np.concatenate(
             [single_row(single, th[:, i], r[:, i])]
             + [pair_row(pair, th[:, i], r[:, i], th[:, j], r[:, j]) for j in others],
@@ -156,3 +173,63 @@ def test_design_buffer_gives_the_bits_of_a_fresh_design():
                                     for j in others])
             assert np.array_equal(got, fit.coefficients)
             assert nvf.diagnostics[f"{i}:{comp}"]["kappa"] == fit.kappa
+            assert nvf.diagnostics[f"{i}:{comp}"]["rows"] == th.shape[0]
+
+
+def test_design_buffer_gives_the_bits_of_a_fresh_design():
+    # Three oscillators, so each refill of the shared design buffer rewrites
+    # two pairwise blocks; a stale or shifted block changes the coefficients.
+    # 3 x 1,496 trimmed rows against a budget of 2,000 keep every second row.
+    trial_set = random_trials(np.random.default_rng(8), [1500] * 3, n_osc=3)
+    assert_one_shot_bits(trial_set, SingleBasisSpec(2, 2),
+                         PairBasisSpec(1, 1, 1, "observable"), row_budget=2000)
+
+
+@pytest.mark.parametrize("rows", [vfr._DESIGN_SLICE // 2, vfr._DESIGN_SLICE + 1,
+                                  2 * vfr._DESIGN_SLICE + 7])
+def test_design_filled_in_slices_gives_the_bits_of_a_fresh_design(rows):
+    """Fewer rows than one slice, a lone row past a whole slice (which must
+    join that slice: a one-point basis row can differ in the last bit) and
+    a short last slice, at the default orders and stride 1."""
+    lengths = [rows // 3 + 2 * vfr.TRIM, rows - rows // 3 + 2 * vfr.TRIM]
+    trial_set = random_trials(np.random.default_rng(rows), lengths, n_osc=2)
+    assert_one_shot_bits(trial_set, SingleBasisSpec(4, 5),
+                         PairBasisSpec(3, 2, 2, "observable"), row_budget=rows)
+
+
+@pytest.mark.parametrize("row_budget", [10 ** 6, 120, 91, 40])
+def test_pooled_arrays_pick_every_stride_th_row_of_the_concatenation(row_budget):
+    """Trials of unequal lengths whose trimmed lengths (97, 53, 85, 41; 276
+    in all) are not multiples of the stride (1, 2, 3 or 6), so each trial's
+    first kept row depends on the rows of the trials before it."""
+    trial_set = random_trials(np.random.default_rng(3), [101, 57, 89, 45], n_osc=2)
+    got = vfr._pooled_arrays(trial_set, row_budget)
+    want = reference_pooled(trial_set, row_budget)
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_design_fill_keeps_basis_temporaries_to_one_slice():
+    """A pair block much wider than the single block: built over every row
+    at once, pair_row's result and its intermediate would outweigh the
+    design.  Filled a slice at a time, the traced peak stays below the
+    design plus the pooled columns and a few slices of the design's width."""
+    single, pair, n_osc = SingleBasisSpec(0, 1), PairBasisSpec(3, 2, 2), 2
+    rows = 10 * vfr._DESIGN_SLICE + 3
+    lengths = [rows // 4 + 2 * vfr.TRIM] * 3 + [rows - 3 * (rows // 4) + 2 * vfr.TRIM]
+    trial_set = random_trials(np.random.default_rng(5), lengths, n_osc)
+    width = single.size + (n_osc - 1) * pair.size
+    design_bytes = 8 * rows * width
+    # Over every row: each trial's two derivatives, the four pooled columns
+    # and the two targets.  Per slice: a pair row, its own-harmonic
+    # intermediate, a single row and the factor stacks, each narrower than
+    # the design.
+    margin = 8 * rows * (6 * n_osc + 2) + 4 * 8 * vfr._DESIGN_SLICE * width
+    tracemalloc.start()
+    try:
+        vfr.fit_network_vf(trial_set, single, pair, row_budget=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < design_bytes + margin

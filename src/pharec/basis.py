@@ -284,6 +284,17 @@ class FittedSeries:
         return cls(spec_from_dict(d["spec"]),
                    np.asarray(d["coefficients"], dtype=float))
 
+    @staticmethod
+    def to_table(series: dict) -> dict:
+        """JSON table of series keyed (i, name) or (i, j, name): "i:name" or "i:j:name"."""
+        return {":".join(map(str, key)): s.to_dict() for key, s in series.items()}
+
+    @classmethod
+    def from_table(cls, table: dict) -> dict:
+        """Inverse of to_table."""
+        return {(*map(int, code.split(":")[:-1]), code.split(":")[-1]): cls.from_dict(s)
+                for code, s in table.items()}
+
 
 def series_eval(series: FittedSeries, *point) -> np.ndarray:
     """Value of a fitted series at ``point``; broadcasts over leading axes.

@@ -126,8 +126,7 @@ class ReducedCoupling:
         return {
             "n_oscillators": self.n_oscillators,
             "spec": self.spec.to_dict(),
-            "series": {f"{i}:{j}:{eq}": s.to_dict()
-                       for (i, j, eq), s in self.series.items()},
+            "series": FittedSeries.to_table(self.series),
             "omega": list(self.omega),
             "lam": list(self.lam),
             "fallback": [bool(f) for f in self.fallback],
@@ -136,12 +135,8 @@ class ReducedCoupling:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReducedCoupling":
-        series = {}
-        for key, s in d["series"].items():
-            i, j, eq = key.split(":")
-            series[(int(i), int(j), eq)] = FittedSeries.from_dict(s)
-        return cls(n_oscillators=d["n_oscillators"],
-                   spec=spec_from_dict(d["spec"]), series=series,
+        return cls(n_oscillators=d["n_oscillators"], spec=spec_from_dict(d["spec"]),
+                   series=FittedSeries.from_table(d["series"]),
                    omega=d["omega"], lam=d["lam"],
                    fallback=d["fallback"], diagnostics=d["diagnostics"])
 

@@ -183,44 +183,39 @@ def default_config(kind: str, out_dir: str, seed: int = 0) -> PipelineConfig:
                           out_dir=out_dir, seed=seed, **KIND_DEFAULTS[kind])
 
 
-def _read(out_dir: str, name: str, decode):
-    """``decode`` of the artifact ``<name>.json`` of a run directory, checked
-    against schema ``name``."""
-    return serialize.decode_json(os.path.join(out_dir, f"{name}.json"), name, decode)
-
-
 def _write(out_dir: str, name: str, doc: dict):
     serialize.write_json(os.path.join(out_dir, f"{name}.json"), doc, name)
 
 
 def _oscillator_fields(config: PipelineConfig, frames):
     """Per-oscillator polar vector fields of the uncoupled model."""
-    spec = config.model_spec
-    return [models.polar_uncoupled_vf(spec, i, frames[i])
-            for i in range(spec.n_oscillators)]
+    return [models.polar_uncoupled_vf(config.model_spec, i, f) for i, f in enumerate(frames)]
 
 
-def _counted(n_oscillators: int | None, decode, count=lambda doc: len(doc["oscillators"])):
-    """``decode`` of an artifact that must hold ``n_oscillators`` oscillators
-    (any number when None); a mismatch is a ValueError, so ``_read`` reports
-    a malformed artifact naming the file."""
-    def checked(doc):
-        if n_oscillators is not None and count(doc) != n_oscillators:
-            raise ValueError(f"{count(doc)} oscillators, but the model has {n_oscillators}")
-        return decode(doc)
-    return checked
-
-
-def _load_cycles(out_dir: str, n_oscillators: int | None = None):
-    return _read(out_dir, "limit_cycle", _counted(n_oscillators, lambda doc: (
+# Decoder of each JSON artifact a stage reads.
+_DECODERS = {
+    "limit_cycle": lambda doc: (
         [models.ObservableFrame.from_dict(o["frame"]) for o in doc["oscillators"]],
-        [LimitCycle.from_dict(o["cycle"]) for o in doc["oscillators"]])))
+        [LimitCycle.from_dict(o["cycle"]) for o in doc["oscillators"]]),
+    "transforms": lambda doc: (
+        [TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]],
+        [float(o["lambda_slope"]) for o in doc["oscillators"]]),
+    "network_vf": vf_reconstruction.NetworkVF.from_dict,
+    "reduced_coupling": coupling.ReducedCoupling.from_dict,
+}
 
 
-def _load_network_vf(config: PipelineConfig):
-    return _read(config.out_dir, "network_vf", _counted(
-        config.model_spec.n_oscillators, vf_reconstruction.NetworkVF.from_dict,
-        lambda doc: doc["n_oscillators"]))
+def _load(config: PipelineConfig, name: str):
+    """The decoded ``<name>.json`` of the run directory; one whose oscillator
+    count is not the model's is malformed, an IoError naming the file."""
+    n = config.model_spec.n_oscillators
+
+    def decode(doc):
+        count = doc["n_oscillators"] if "n_oscillators" in doc else len(doc["oscillators"])
+        if count != n:
+            raise ValueError(f"{count} oscillators, but the model has {n}")
+        return _DECODERS[name](doc)
+    return serialize.decode_json(os.path.join(config.out_dir, f"{name}.json"), name, decode)
 
 
 def stage_limit_cycle(config: PipelineConfig) -> dict:
@@ -245,7 +240,7 @@ def stage_limit_cycle(config: PipelineConfig) -> dict:
 
 def stage_transforms(config: PipelineConfig) -> dict:
     """Reduced-coordinate sampling and transform fits, one set per oscillator."""
-    frames, cycles = _load_cycles(config.out_dir, config.model_spec.n_oscillators)
+    frames, cycles = _load(config, "limit_cycle")
     vfs = _oscillator_fields(config, frames)
     oscillators = []
     for i, cycle in enumerate(cycles):
@@ -270,7 +265,7 @@ def stage_transforms(config: PipelineConfig) -> dict:
 
 def stage_simulate(config: PipelineConfig) -> dict:
     """Generate the synthetic trial files for the VF fit."""
-    frames, cycles = _load_cycles(config.out_dir, config.model_spec.n_oscillators)
+    frames, cycles = _load(config, "limit_cycle")
     trial_set = vf_reconstruction.simulate_trial_set(
         config.model_spec, cycles, frames, n_trials=config.n_trials,
         periods=config.trial_periods, seed=config.seed,
@@ -291,11 +286,9 @@ def stage_vf(config: PipelineConfig) -> dict:
 
 def stage_reduce(config: PipelineConfig) -> dict:
     """Map the fitted coupling into reduced space and export the heatmaps."""
-    n = config.model_spec.n_oscillators
-    _, cycles = _load_cycles(config.out_dir, n)
-    nvf = _load_network_vf(config)
-    tsets = _read(config.out_dir, "transforms", _counted(n, lambda doc: [
-        TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]]))
+    _, cycles = _load(config, "limit_cycle")
+    nvf = _load(config, "network_vf")
+    tsets, _ = _load(config, "transforms")
     grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     stats = [(float(g.min()), float(g.max()))
              for g in (c.gamma_at(grid) for c in cycles)]
@@ -350,14 +343,11 @@ def stage_compare(config: PipelineConfig) -> dict:
     """Tolerance report against analytic oracles and structural checks."""
     spec = config.model_spec
     tol = TOLERANCES
-    frames, cycles = _load_cycles(config.out_dir, spec.n_oscillators)
+    frames, cycles = _load(config, "limit_cycle")
     vfs = _oscillator_fields(config, frames)
-    tsets, lam_slopes = _read(config.out_dir, "transforms", _counted(
-        spec.n_oscillators, lambda doc: (
-            [TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]],
-            [float(o["lambda_slope"]) for o in doc["oscillators"]])))
-    nvf = _load_network_vf(config)
-    rc = _read(config.out_dir, "reduced_coupling", coupling.ReducedCoupling.from_dict)
+    tsets, lam_slopes = _load(config, "transforms")
+    nvf = _load(config, "network_vf")
+    rc = _load(config, "reduced_coupling")
 
     try:
         truths = [models.analytic_ground_truth(spec, i)
@@ -429,10 +419,8 @@ def stage_compare(config: PipelineConfig) -> dict:
 
     # Fitted uncoupled field against the model's own uncoupled field at
     # observed data points (first trial, decimated).
-    trials_dir = os.path.join(config.out_dir, "trials")
-    trial = serialize.read_trial_csv(serialize.decode_json(
-        os.path.join(trials_dir, "manifest.json"), "trials",
-        lambda manifest: os.path.join(trials_dir, manifest["files"][0])))
+    paths, _, _ = serialize.read_trial_manifest(os.path.join(config.out_dir, "trials"))
+    trial = serialize.read_trial_csv(paths[0])
     for i in range(spec.n_oscillators):
         th_d, r_d = trial.theta[::10, i], trial.r[::10, i]
         fitted = vf_reconstruction.eval_uncoupled(nvf, i, th_d, r_d)

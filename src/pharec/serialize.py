@@ -25,6 +25,7 @@ __all__ = [
     "write_trial_csv",
     "read_trial_csv",
     "write_trial_set",
+    "read_trial_manifest",
     "read_trial_set",
     "write_heatmap_csv",
 ]
@@ -127,12 +128,18 @@ def write_trial_set(out_dir: str, trial_set: TrialSet) -> list[str]:
     return paths
 
 
-def read_trial_set(out_dir: str) -> TrialSet:
+def read_trial_manifest(out_dir: str) -> tuple[list[str], float, dict]:
+    """Trial file paths (at least one), step and metadata of a trials manifest."""
     manifest = os.path.join(out_dir, "manifest.json")
     paths, step, metadata = decode_json(manifest, "trials", lambda m: (
         [os.path.join(out_dir, f) for f in m["files"]], m["step"], m["metadata"]))
     if not paths:
         raise IoError(f"{manifest}: lists no trial files")
+    return paths, step, metadata
+
+
+def read_trial_set(out_dir: str) -> TrialSet:
+    paths, step, metadata = read_trial_manifest(out_dir)
     return TrialSet([read_trial_csv(path) for path in paths], step, metadata)
 
 

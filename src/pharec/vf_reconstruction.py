@@ -140,27 +140,18 @@ class NetworkVF:
             "n_oscillators": self.n_oscillators,
             "single_spec": self.single_spec.to_dict(),
             "pair_spec": self.pair_spec.to_dict(),
-            "uncoupled": {f"{i}:{c}": s.to_dict()
-                          for (i, c), s in self.uncoupled.items()},
-            "coupling": {f"{i}:{j}:{c}": s.to_dict()
-                         for (i, j, c), s in self.coupling.items()},
+            "uncoupled": FittedSeries.to_table(self.uncoupled),
+            "coupling": FittedSeries.to_table(self.coupling),
             "diagnostics": self.diagnostics,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkVF":
-        unc = {}
-        for key, s in d["uncoupled"].items():
-            i, c = key.split(":")
-            unc[(int(i), c)] = FittedSeries.from_dict(s)
-        cpl = {}
-        for key, s in d["coupling"].items():
-            i, j, c = key.split(":")
-            cpl[(int(i), int(j), c)] = FittedSeries.from_dict(s)
         return cls(n_oscillators=d["n_oscillators"],
                    single_spec=spec_from_dict(d["single_spec"]),
                    pair_spec=spec_from_dict(d["pair_spec"]),
-                   uncoupled=unc, coupling=cpl,
+                   uncoupled=FittedSeries.from_table(d["uncoupled"]),
+                   coupling=FittedSeries.from_table(d["coupling"]),
                    diagnostics=d["diagnostics"])
 
 

@@ -197,7 +197,7 @@ def test_averaging_flow_equivariance(pipeline_runs):
     rng = np.random.default_rng(21)
     for kind in MODEL_KINDS:
         run = pipeline_runs[kind]
-        frames, cycles = pipeline._load_cycles(run.out_dir)
+        frames, cycles = pipeline._load(run.config, "limit_cycle")
         vfs = pipeline._oscillator_fields(run.config, frames)
         cycle, vf = cycles[0], vfs[0]
         t = int(round(0.37 * 2000)) * cycle.step

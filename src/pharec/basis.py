@@ -12,6 +12,7 @@ descriptor lists so fitted coefficients can be addressed symbolically.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,6 +257,10 @@ def row_slices(n: int, rows: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
+def _code(key: tuple) -> str:
+    return ":".join(map(str, key))
+
+
 @dataclass(frozen=True)
 class FittedSeries:
     """Coefficient vector aligned to a basis spec's enumeration order."""
@@ -287,13 +292,17 @@ class FittedSeries:
     @staticmethod
     def to_table(series: dict) -> dict:
         """JSON table of series keyed (i, name) or (i, j, name): "i:name" or "i:j:name"."""
-        return {":".join(map(str, key)): s.to_dict() for key, s in series.items()}
+        return {_code(key): s.to_dict() for key, s in series.items()}
 
     @classmethod
-    def from_table(cls, table: dict) -> dict:
-        """Inverse of to_table."""
-        return {(*map(int, code.split(":")[:-1]), code.split(":")[-1]): cls.from_dict(s)
-                for code, s in table.items()}
+    def from_table(cls, table: dict, n_oscillators: int, arity: int, names) -> dict:
+        """Inverse of to_table for a table of exactly the series of each of ``names``
+        for every oscillator (arity 1) or every ordered pair i != j (arity 2)."""
+        keys = {_code(key): key for node in itertools.permutations(range(n_oscillators), arity)
+                for key in [(*node, name) for name in names]}
+        if table.keys() != keys.keys():
+            raise ValueError(f"series {sorted(table.keys() ^ keys.keys())} missing or unexpected")
+        return {key: cls.from_dict(table[code]) for code, key in keys.items()}
 
 
 def series_eval(series: FittedSeries, *point) -> np.ndarray:

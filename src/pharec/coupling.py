@@ -135,8 +135,9 @@ class ReducedCoupling:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReducedCoupling":
-        return cls(n_oscillators=d["n_oscillators"], spec=spec_from_dict(d["spec"]),
-                   series=FittedSeries.from_table(d["series"]),
+        n = d["n_oscillators"]
+        return cls(n_oscillators=n, spec=spec_from_dict(d["spec"]),
+                   series=FittedSeries.from_table(d["series"], n, 2, EQUATIONS),
                    omega=d["omega"], lam=d["lam"],
                    fallback=d["fallback"], diagnostics=d["diagnostics"])
 

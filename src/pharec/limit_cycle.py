@@ -8,6 +8,8 @@ passages of theta through multiples of 2*pi.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +29,20 @@ STEPS_PER_PERIOD = 2000
 DEFAULT_N_G = 8
 # Points per gamma evaluation slice; a multiple of 4 (see LimitCycle.gamma_at).
 _GAMMA_SLICE = 4096
+
+
+def is_finite_number(x) -> bool:
+    """A real number, not a bool, within the float range (no nan or inf, and
+    no int too large to convert)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def finite_number(x, what: str, positive: bool = False) -> float:
+    """``x`` as a float; a ValueError naming ``what`` unless is_finite_number(x),
+    and x > 0 when ``positive``."""
+    if not is_finite_number(x) or (positive and x <= 0):
+        raise ValueError(f"{what} must be a finite{' positive' * positive} number, not {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -77,14 +93,12 @@ class LimitCycle:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LimitCycle":
-        lam = d["lam"]
-        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not np.isfinite(lam):
-            raise ValueError(f"lam must be a finite number, not {lam!r}")
-        return cls(period=d["period"], omega=d["omega"],
+        return cls(period=finite_number(d["period"], "period", positive=True),
+                   omega=finite_number(d["omega"], "omega", positive=True),
                    gamma=FittedSeries.from_dict(d["gamma"]),
                    anchor=(d["anchor"][0], d["anchor"][1]),
                    gamma_resid=d["gamma_resid"],
-                   lam=float(lam),
+                   lam=finite_number(d["lam"], "lam"),
                    monodromy=None if d["monodromy"] is None else np.asarray(d["monodromy"]))
 
 

@@ -9,7 +9,6 @@ pipeline's files byte for byte.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
@@ -19,7 +18,8 @@ import numpy as np
 from . import averaging, coupling, models, serialize, transforms, vf_reconstruction
 from .basis import PairBasisSpec, SingleBasisSpec
 from .errors import InvalidConfig, NoAnalyticForm
-from .limit_cycle import LimitCycle, find_limit_cycle, floquet_from_monodromy
+from .limit_cycle import (LimitCycle, find_limit_cycle, finite_number, floquet_from_monodromy,
+                          is_finite_number)
 from .ode import integrate
 from .transforms import TransformSet, _wrap
 
@@ -89,11 +89,6 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _is_finite(x) -> bool:
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
 @dataclass
 class PipelineConfig:
     model: dict
@@ -116,10 +111,10 @@ class PipelineConfig:
             value = getattr(self, key)
             if not (_is_int(value) and value >= low):
                 raise InvalidConfig(key, f"must be an integer of at least {low}")
-        if not (_is_finite(self.trial_periods) and self.trial_periods > 0):
+        if not (is_finite_number(self.trial_periods) and self.trial_periods > 0):
             raise InvalidConfig("trial_periods", "must be positive")
         span = self.radial_span
-        if not (len(span) == 2 and all(map(_is_finite, span)) and 0 < span[0] < span[1]):
+        if not (len(span) == 2 and all(map(is_finite_number, span)) and 0 < span[0] < span[1]):
             raise InvalidConfig("radial_span", "need two numbers 0 < lo < hi")
         for key in ("single_orders", "transform_orders", "pair_orders",
                     "reduced_orders"):
@@ -199,7 +194,7 @@ _DECODERS = {
         [LimitCycle.from_dict(o["cycle"]) for o in doc["oscillators"]]),
     "transforms": lambda doc: (
         [TransformSet.from_dict(o["transforms"]) for o in doc["oscillators"]],
-        [float(o["lambda_slope"]) for o in doc["oscillators"]]),
+        [finite_number(o["lambda_slope"], "lambda_slope") for o in doc["oscillators"]]),
     "network_vf": vf_reconstruction.NetworkVF.from_dict,
     "reduced_coupling": coupling.ReducedCoupling.from_dict,
 }
@@ -276,7 +271,8 @@ def stage_simulate(config: PipelineConfig) -> dict:
 
 def stage_vf(config: PipelineConfig) -> dict:
     """Fit the network vector field from the trial files."""
-    trial_set = serialize.read_trial_set(os.path.join(config.out_dir, "trials"))
+    trial_set = serialize.read_trial_set(os.path.join(config.out_dir, "trials"),
+                                         config.model_spec.n_oscillators)
     nvf = vf_reconstruction.fit_network_vf(trial_set, config.single_spec,
                                            config.pair_spec, config.row_budget)
     doc = nvf.to_dict()
@@ -420,7 +416,7 @@ def stage_compare(config: PipelineConfig) -> dict:
     # Fitted uncoupled field against the model's own uncoupled field at
     # observed data points (first trial, decimated).
     paths, _, _ = serialize.read_trial_manifest(os.path.join(config.out_dir, "trials"))
-    trial = serialize.read_trial_csv(paths[0])
+    trial = serialize.read_trial_csv(paths[0], spec.n_oscillators)
     for i in range(spec.n_oscillators):
         th_d, r_d = trial.theta[::10, i], trial.r[::10, i]
         fitted = vf_reconstruction.eval_uncoupled(nvf, i, th_d, r_d)

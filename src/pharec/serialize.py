@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .errors import IoError
-from .vf_reconstruction import Trial, TrialSet
+from .vf_reconstruction import MIN_SAMPLES, Trial, TrialSet
 
 __all__ = [
     "write_json",
@@ -103,13 +103,17 @@ def write_trial_csv(path: str, trial: Trial):
     write_rows(path, rows, header)
 
 
-def read_trial_csv(path: str) -> Trial:
+def read_trial_csv(path: str, n_oscillators: int | None = None) -> Trial:
+    """A trial of at least MIN_SAMPLES rows and ``n_oscillators`` oscillators (any if None)."""
     data = read_rows(path)
-    if data.ndim != 2 or (data.shape[1] - 1) % 2 != 0:
-        raise IoError(f"{path}: malformed trial file")
+    n_osc = (data.shape[-1] - 1) // 2
+    if data.ndim != 2 or data.shape[1] != 1 + 2 * n_osc or data.shape[0] < MIN_SAMPLES:
+        raise IoError(f"{path}: a trial file needs a t column, a theta, r pair per "
+                      f"oscillator and at least {MIN_SAMPLES} rows")
+    if n_oscillators is not None and n_osc != n_oscillators:
+        raise IoError(f"{path}: {n_osc} oscillators, but the model has {n_oscillators}")
     if not np.isfinite(data).all():
         raise IoError(f"{path}: every trial value must be a finite number")
-    n_osc = (data.shape[1] - 1) // 2
     return Trial(times=data[:, 0],
                  theta=data[:, 1:1 + 2 * n_osc:2],
                  r=data[:, 2:2 + 2 * n_osc:2])
@@ -138,9 +142,9 @@ def read_trial_manifest(out_dir: str) -> tuple[list[str], float, dict]:
     return paths, step, metadata
 
 
-def read_trial_set(out_dir: str) -> TrialSet:
+def read_trial_set(out_dir: str, n_oscillators: int | None = None) -> TrialSet:
     paths, step, metadata = read_trial_manifest(out_dir)
-    return TrialSet([read_trial_csv(path) for path in paths], step, metadata)
+    return TrialSet([read_trial_csv(path, n_oscillators) for path in paths], step, metadata)
 
 
 def write_heatmap_csv(path: str, matrix: np.ndarray):

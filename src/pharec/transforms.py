@@ -16,7 +16,7 @@ from .averaging import ReducedSample
 from .basis import (FittedSeries, SingleBasisSpec, series_eval, series_eval_grad,
                     single_row)
 from .errors import InsufficientSamples
-from .limit_cycle import LimitCycle
+from .limit_cycle import LimitCycle, is_finite_number
 from .ridge import ridge_fit
 
 __all__ = [
@@ -76,9 +76,17 @@ class TransformSet:
             inverse_amplitude=FittedSeries.from_dict(d["inverse_amplitude"]),
             forward_angle=FittedSeries.from_dict(d["forward_angle"]),
             forward_radius=FittedSeries.from_dict(d["forward_radius"]),
-            r_domain=tuple(d["r_domain"]),
-            sigma_domain=tuple(d["sigma_domain"]),
+            r_domain=_domain(d, "r_domain"),
+            sigma_domain=_domain(d, "sigma_domain"),
         )
+
+
+def _domain(d: dict, key: str) -> tuple[float, float]:
+    """``d[key]`` as (lo, hi); it must be two finite numbers with lo <= hi."""
+    v = d[key]
+    if not (len(v) == 2 and all(map(is_finite_number, v)) and v[0] <= v[1]):
+        raise ValueError(f"{key} must be two finite numbers lo <= hi, not {v!r}")
+    return float(v[0]), float(v[1])
 
 
 def generate_ic_grid(cycle: LimitCycle, n_angles: int, n_radii: int,

@@ -34,6 +34,7 @@ __all__ = [
 
 COMPONENTS = ("theta", "r")
 TRIM = 2                      # samples dropped at each end after differencing
+MIN_SAMPLES = 5               # fewest samples the difference stencils take
 _DESIGN_SLICE = 4096          # design rows filled per basis evaluation
 
 
@@ -63,8 +64,8 @@ def differentiate_trial(trial: Trial) -> tuple[np.ndarray, np.ndarray]:
     Central differences in the interior, one-sided second-order stencils at
     the two ends; output is aligned to the trial's time base.
     """
-    if trial.times.shape[0] < 5:
-        raise TooShort("need at least 5 samples to differentiate")
+    if trial.times.shape[0] < MIN_SAMPLES:
+        raise TooShort(f"need at least {MIN_SAMPLES} samples to differentiate")
     dt = np.diff(trial.times)
     h = dt[0]
     if not np.allclose(dt, h, rtol=1e-9, atol=0.0):
@@ -147,11 +148,12 @@ class NetworkVF:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkVF":
-        return cls(n_oscillators=d["n_oscillators"],
+        n = d["n_oscillators"]
+        return cls(n_oscillators=n,
                    single_spec=spec_from_dict(d["single_spec"]),
                    pair_spec=spec_from_dict(d["pair_spec"]),
-                   uncoupled=FittedSeries.from_table(d["uncoupled"]),
-                   coupling=FittedSeries.from_table(d["coupling"]),
+                   uncoupled=FittedSeries.from_table(d["uncoupled"], n, 1, COMPONENTS),
+                   coupling=FittedSeries.from_table(d["coupling"], n, 2, COMPONENTS),
                    diagnostics=d["diagnostics"])
 
 

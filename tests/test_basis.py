@@ -180,6 +180,29 @@ def test_series_round_trip_and_arity():
         basis.series_eval(series, 0.1, 1.0)
 
 
+def test_series_table_holds_exactly_every_oscillator_or_pair():
+    """to_table keys each series "i:name" or "i:j:name"; from_table inverts
+    it and rejects a table with one series missing or one too many."""
+    spec = basis.SingleBasisSpec(1, 1)
+    names = ("theta", "r")
+    for arity, nodes in ((1, [(0,), (1,), (2,)]),
+                         (2, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])):
+        series = {(*node, name): basis.FittedSeries(spec, np.full(spec.size, float(k)))
+                  for k, node in enumerate(nodes) for name in names}
+        table = basis.FittedSeries.to_table(series)
+        assert ":".join(map(str, nodes[-1])) + ":r" in table
+        again = basis.FittedSeries.from_table(table, 3, arity, names)
+        assert again.keys() == series.keys()
+        for key, s in series.items():
+            np.testing.assert_array_equal(again[key].coefficients, s.coefficients)
+        first = next(iter(table))
+        for bad, n in ((dict(list(table.items())[1:]), 3),
+                       (dict(table, **{"0:" + first: table[first]}), 3),
+                       (table, 2), (table, 4)):
+            with pytest.raises(ValueError, match="missing or unexpected"):
+                basis.FittedSeries.from_table(bad, n, arity, names)
+
+
 def test_coefficient_length_validated():
     with pytest.raises(ValueError):
         basis.FittedSeries(basis.SingleBasisSpec(1, 1), np.zeros(2))

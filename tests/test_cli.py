@@ -230,12 +230,15 @@ def test_malformed_artifact_is_usage_error(pipeline_runs, tmp_path, capsys):
     ("network_vf.json", ["diagnostics"]),
     ("reduced_coupling.json", ["fallback"]),
     (os.path.join("trials", "manifest.json"), ["files"]),
+    ("network_vf.json", ["coupling", "1:0:theta"]),
+    ("reduced_coupling.json", ["series", "0:1:phi"]),
+    ("reduced_coupling.json", ["series", "0:1:sigma"]),
 ])
 def test_compare_rejects_artifact_without_a_key(pipeline_runs, tmp_path, capsys,
                                                 name, keys):
-    """Every artifact compare reads needs every key its writer writes: a
-    missing one exits 2 with one stderr line naming the file, and no
-    report.json is written."""
+    """Every artifact compare reads needs every key its writer writes, every
+    series of a series table included: a missing one exits 2 with one stderr
+    line naming the file, and no report.json is written."""
     run = pipeline_runs["radial_isochron_clock"]
     os.makedirs(tmp_path / "trials")
     for copy in ("config.json", "limit_cycle.json", "transforms.json",
@@ -267,19 +270,23 @@ _ARTIFACTS = ("config.json", "limit_cycle.json", "transforms.json", "network_vf.
 
 def _keep_oscillator_0(name: str, doc: dict):
     """Cut a two-oscillator artifact down to its oscillator 0."""
-    if name == "network_vf.json":
+    if "n_oscillators" in doc:
         doc["n_oscillators"] = 1
-        for part in ("uncoupled", "coupling"):
-            doc[part] = {k: v for k, v in doc[part].items() if "1" not in k.split(":")}
+        for part in ("uncoupled", "coupling", "series"):
+            if part in doc:
+                doc[part] = {k: v for k, v in doc[part].items() if "1" not in k.split(":")}
     else:
         doc["oscillators"] = doc["oscillators"][:1]
 
 
-@pytest.mark.parametrize("name", ["limit_cycle.json", "transforms.json", "network_vf.json"])
-@pytest.mark.parametrize("command, output", [("reduce-coupling", "reduced_coupling.json"),
-                                             ("compare", "report.json")])
+@pytest.mark.parametrize("command, output, name", [
+    (command, output, name)
+    for command, output in (("reduce-coupling", "reduced_coupling.json"),
+                            ("compare", "report.json"))
+    for name in ("limit_cycle.json", "transforms.json", "network_vf.json")
+] + [("compare", "report.json", "reduced_coupling.json")])
 def test_oscillator_count_must_match_the_model(pipeline_runs, tmp_path, capsys,
-                                               name, command, output):
+                                               command, output, name):
     """An artifact cut to one oscillator of a two-oscillator model exits 2
     with one stderr line naming the file, and the stage writes nothing."""
     run = pipeline_runs["canonical"]
@@ -295,19 +302,73 @@ def test_oscillator_count_must_match_the_model(pipeline_runs, tmp_path, capsys,
     assert not (tmp_path / output).exists()
 
 
-@pytest.mark.parametrize("lam", [None, "-0.5", True, []])
-def test_cycle_without_a_finite_lam_is_usage_error(pipeline_runs, tmp_path, capsys, lam):
-    """A cycle's lam must be a finite number: reduce-coupling exits 2 with
-    one stderr line naming limit_cycle.json and writes no reduced_coupling.json."""
+@pytest.mark.parametrize("name, part, key, value", [
+    pytest.param("limit_cycle.json", "cycle", "lam", None, id="None"),
+    pytest.param("limit_cycle.json", "cycle", "lam", "-0.5", id="-0.5"),
+    pytest.param("limit_cycle.json", "cycle", "lam", True, id="True"),
+    pytest.param("limit_cycle.json", "cycle", "lam", [], id="lam3"),
+    pytest.param("limit_cycle.json", "cycle", "period", 0, id="period-zero"),
+    pytest.param("limit_cycle.json", "cycle", "period", "x", id="period-string"),
+    pytest.param("limit_cycle.json", "cycle", "period", -6.283, id="period-negative"),
+    pytest.param("limit_cycle.json", "cycle", "omega", float("inf"), id="omega-inf"),
+    pytest.param("limit_cycle.json", "cycle", "omega", False, id="omega-bool"),
+    pytest.param("transforms.json", "transforms", "sigma_domain", [0.1], id="sigma_domain-one"),
+    pytest.param("transforms.json", None, "lambda_slope", "nan", id="lambda_slope-string"),
+    pytest.param("transforms.json", None, "lambda_slope", float("nan"), id="lambda_slope-nan"),
+    pytest.param("transforms.json", "transforms", "r_domain", [1.2, 0.8],
+                 id="r_domain-reversed"),
+    pytest.param("transforms.json", "transforms", "sigma_domain", [-0.1, None],
+                 id="sigma_domain-null"),
+])
+def test_cycle_without_a_finite_lam_is_usage_error(pipeline_runs, tmp_path, capsys,
+                                                   name, part, key, value):
+    """A cycle's period and omega must be finite positive numbers and its lam
+    a finite number; each transform domain must be two finite numbers
+    lo <= hi, and each lambda_slope a finite number. Otherwise
+    reduce-coupling exits 2 with one stderr line naming the file and the
+    key, and writes no reduced_coupling.json."""
     _copy_run(pipeline_runs["canonical"], tmp_path, _ARTIFACTS)
-    doc = json.loads((tmp_path / "limit_cycle.json").read_text())
-    doc["oscillators"][0]["cycle"]["lam"] = lam
-    (tmp_path / "limit_cycle.json").write_text(json.dumps(doc))
+    doc = json.loads((tmp_path / name).read_text())
+    entry = doc["oscillators"][0]
+    (entry[part] if part else entry)[key] = value
+    (tmp_path / name).write_text(json.dumps(doc))
     assert cli.main(["reduce-coupling", "--from", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert str(tmp_path / "limit_cycle.json") in err and "lam" in err
+    assert str(tmp_path / name) in err and key in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "reduced_coupling.json").exists()
+
+
+def _trial(n_osc: int, rows: int = 200):
+    from pharec.vf_reconstruction import Trial
+    t = np.arange(rows) * 0.05
+    theta = np.mod(np.outer(t, 1.0 + 0.3 * np.arange(n_osc)), 2 * np.pi)
+    return Trial(t, theta, np.ones_like(theta))
+
+
+@pytest.mark.parametrize("case", ["one_oscillator_file", "one_oscillator_trials",
+                                  "four_rows"])
+@pytest.mark.parametrize("command, output", [("reconstruct-vf", "network_vf.json"),
+                                             ("compare", "report.json")])
+def test_trial_files_must_match_the_model(pipeline_runs, tmp_path, capsys,
+                                          command, output, case):
+    """A trial CSV holding one oscillator of a two-oscillator model (among
+    two-oscillator files, or in every file), or only 4 rows, exits 2 with
+    one stderr line naming that file, and the stage writes nothing."""
+    from pharec import serialize
+    from pharec.vf_reconstruction import TrialSet
+    _copy_run(pipeline_runs["canonical"], tmp_path,
+              ("config.json",) if command == "reconstruct-vf"
+              else _ARTIFACTS + ("reduced_coupling.json",))
+    trials = {"one_oscillator_file": [_trial(1), _trial(2)],
+              "one_oscillator_trials": [_trial(1), _trial(1)],
+              "four_rows": [_trial(2, rows=4), _trial(2)]}[case]
+    serialize.write_trial_set(str(tmp_path / "trials"), TrialSet(trials, 0.05))
+    assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "trials" / "trial_0000.csv") in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / output).exists()
 
 
 def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):

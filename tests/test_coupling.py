@@ -69,10 +69,10 @@ def test_fit_recovers_generating_tensor():
         == pytest.approx(0.3, abs=1e-6)
 
 
-def make_reduced(spec):
+def make_reduced(spec, pairs=((1, 0),)):
     rng = np.random.default_rng(3)
-    series = {(1, 0, eq): FittedSeries(spec, rng.normal(size=spec.size))
-              for eq in ("phi", "sigma")}
+    series = {(i, j, eq): FittedSeries(spec, rng.normal(size=spec.size))
+              for i, j in pairs for eq in ("phi", "sigma")}
     return coupling.ReducedCoupling(n_oscillators=2, spec=spec, series=series,
                                     omega=[1.0, 1.0], lam=[-2.0, -1.4])
 
@@ -98,7 +98,7 @@ def test_unknown_pair_raises():
 
 
 def test_reduced_coupling_round_trip():
-    rc = make_reduced(PairBasisSpec(2, 1, 1, "reduced"))
+    rc = make_reduced(PairBasisSpec(2, 1, 1, "reduced"), pairs=((1, 0), (0, 1)))
     again = coupling.ReducedCoupling.from_dict(rc.to_dict())
     assert again.n_oscillators == 2
     assert again.lam == rc.lam

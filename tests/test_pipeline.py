@@ -1,9 +1,11 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
-from pharec import pipeline
+from conftest import MODEL_KINDS
+from pharec import pipeline, serialize
 from pharec.errors import InvalidConfig
 
 
@@ -36,7 +38,8 @@ def test_invalid_values_rejected():
                        ("n_trials", 2.5), ("ic_angles", 21.0), ("row_budget", "60000"),
                        ("single_orders", (4.5, 5)), ("pair_orders", (3, 2.0, 2)),
                        ("seed", -1), ("seed", 1.5),
-                       ("trial_periods", float("inf")), ("n_trials", True)):
+                       ("trial_periods", float("inf")), ("trial_periods", 10 ** 400),
+                       ("n_trials", True)):
         bad = dict(base)
         bad[key] = value
         with pytest.raises(InvalidConfig):
@@ -91,3 +94,16 @@ def test_tolerance_table_present():
     for key in ("lambda_monodromy_rel", "pde_phi_rel", "composition_abs",
                 "directionality_ratio", "reduced_table_rel"):
         assert key in pipeline.TOLERANCES
+
+
+@pytest.mark.parametrize("name", ["network_vf", "reduced_coupling"])
+def test_loaded_artifact_writes_back_the_same_bytes(pipeline_runs, tmp_path, name):
+    """An artifact decoded by pipeline._load and written back by
+    serialize.write_json gives the bytes of the file, for every model: the
+    series tables' "i:name" and "i:j:name" keys survive the round trip."""
+    for kind in MODEL_KINDS:
+        run = pipeline_runs[kind]
+        path = tmp_path / f"{kind}.json"
+        serialize.write_json(str(path), pipeline._load(run.config, name).to_dict(), name)
+        with open(os.path.join(run.out_dir, f"{name}.json"), "rb") as fh:
+            assert path.read_bytes() == fh.read(), kind

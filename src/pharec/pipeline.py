@@ -261,20 +261,23 @@ def stage_transforms(config: PipelineConfig) -> dict:
 def stage_simulate(config: PipelineConfig) -> dict:
     """Generate the synthetic trial files for the VF fit."""
     frames, cycles = _load(config, "limit_cycle")
-    trial_set = vf_reconstruction.simulate_trial_set(
+    trials, step = vf_reconstruction.simulate_trial_set(
         config.model_spec, cycles, frames, n_trials=config.n_trials,
         periods=config.trial_periods, seed=config.seed,
         radial_span=config.radial_span)
-    serialize.write_trial_set(os.path.join(config.out_dir, "trials"), trial_set)
+    metadata = {"kind": config.model_spec.kind, "seed": config.seed,
+                "n_trials": config.n_trials, "periods": config.trial_periods}
+    serialize.write_trial_set(os.path.join(config.out_dir, "trials"), trials, step, metadata)
     return {"n_trials": config.n_trials}
 
 
 def stage_vf(config: PipelineConfig) -> dict:
     """Fit the network vector field from the trial files."""
-    trial_set = serialize.read_trial_set(os.path.join(config.out_dir, "trials"),
-                                         config.model_spec.n_oscillators)
-    nvf = vf_reconstruction.fit_network_vf(trial_set, config.single_spec,
-                                           config.pair_spec, config.row_budget)
+    # One expression, so no trial outlives the pooling into the design fit.
+    nvf = vf_reconstruction.fit_network_vf(vf_reconstruction.pooled_rows(
+        serialize.read_trial_set(os.path.join(config.out_dir, "trials"),
+                                 config.model_spec.n_oscillators),
+        config.row_budget), config.single_spec, config.pair_spec)
     doc = nvf.to_dict()
     _write(config.out_dir, "network_vf", doc)
     return doc

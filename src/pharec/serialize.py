@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .errors import IoError
-from .vf_reconstruction import MIN_SAMPLES, Trial, TrialSet
+from .vf_reconstruction import MIN_SAMPLES, Trial
 
 __all__ = [
     "write_json",
@@ -119,15 +119,14 @@ def read_trial_csv(path: str, n_oscillators: int | None = None) -> Trial:
                  r=data[:, 2:2 + 2 * n_osc:2])
 
 
-def write_trial_set(out_dir: str, trial_set: TrialSet) -> list[str]:
+def write_trial_set(out_dir: str, trials: list[Trial], step: float, metadata: dict) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for p, trial in enumerate(trial_set.trials):
+    for p, trial in enumerate(trials):
         path = os.path.join(out_dir, f"trial_{p:04d}.csv")
         write_trial_csv(path, trial)
         paths.append(os.path.basename(path))
-    manifest = {"files": paths, "step": trial_set.step,
-                "metadata": trial_set.metadata}
+    manifest = {"files": paths, "step": step, "metadata": metadata}
     write_json(os.path.join(out_dir, "manifest.json"), manifest, "trials")
     return paths
 
@@ -142,9 +141,9 @@ def read_trial_manifest(out_dir: str) -> tuple[list[str], float, dict]:
     return paths, step, metadata
 
 
-def read_trial_set(out_dir: str, n_oscillators: int | None = None) -> TrialSet:
-    paths, step, metadata = read_trial_manifest(out_dir)
-    return TrialSet([read_trial_csv(path, n_oscillators) for path in paths], step, metadata)
+def read_trial_set(out_dir: str, n_oscillators: int | None = None) -> list[Trial]:
+    paths, _, _ = read_trial_manifest(out_dir)
+    return [read_trial_csv(path, n_oscillators) for path in paths]
 
 
 def write_heatmap_csv(path: str, matrix: np.ndarray):

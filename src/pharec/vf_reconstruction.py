@@ -23,10 +23,10 @@ from .ridge import ridge_fit_multi
 
 __all__ = [
     "Trial",
-    "TrialSet",
     "NetworkVF",
     "differentiate_trial",
     "simulate_trial_set",
+    "pooled_rows",
     "fit_network_vf",
     "eval_uncoupled",
     "eval_coupling",
@@ -49,13 +49,6 @@ class Trial:
     @property
     def n_oscillators(self) -> int:
         return self.theta.shape[1]
-
-
-@dataclass(frozen=True)
-class TrialSet:
-    trials: list
-    step: float
-    metadata: dict = field(default_factory=dict)
 
 
 def differentiate_trial(trial: Trial) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +79,8 @@ def differentiate_trial(trial: Trial) -> tuple[np.ndarray, np.ndarray]:
 def simulate_trial_set(spec: models.ModelSpec, cycles: list[LimitCycle],
                        frames: list[models.ObservableFrame], n_trials: int,
                        periods: float, seed: int,
-                       radial_span: tuple[float, float]) -> TrialSet:
-    """Simulate coupled-network trials from random initial conditions.
+                       radial_span: tuple[float, float]) -> tuple[list[Trial], float]:
+    """Coupled-network trials from random initial conditions, and their step.
 
     Initial angles are uniform on the circle; initial radii scale the cycle
     profile by factors uniform in ``radial_span``.  All trials share one time
@@ -118,11 +111,8 @@ def simulate_trial_set(spec: models.ModelSpec, cycles: list[LimitCycle],
                         for i in range(n_osc)], axis=2)
         theta = obs[..., 0]
         radius = obs[..., 1]
-    trials = [Trial(times=traj.times, theta=theta[:, p], r=radius[:, p])
-              for p in range(n_trials)]
-    return TrialSet(trials=trials, step=step,
-                    metadata={"kind": spec.kind, "seed": seed,
-                              "n_trials": n_trials, "periods": periods})
+    return [Trial(times=traj.times, theta=theta[:, p], r=radius[:, p])
+            for p in range(n_trials)], step
 
 
 @dataclass(frozen=True)
@@ -157,14 +147,14 @@ class NetworkVF:
                    diagnostics=d["diagnostics"])
 
 
-def _pooled_arrays(trial_set: TrialSet, row_budget: int):
+def pooled_rows(trials: list[Trial], row_budget: int):
     """Trimmed (theta, r, dtheta, dr) arrays of shape (rows, N): every
     stride-th row of the trials' concatenation, picked trial by trial so
     that only the kept rows are ever concatenated."""
-    total = sum(trial.times.shape[0] - 2 * TRIM for trial in trial_set.trials)
+    total = sum(trial.times.shape[0] - 2 * TRIM for trial in trials)
     stride = max(1, total // row_budget)
     kept, offset = [], 0         # offset: trimmed rows of the trials before
-    for trial in trial_set.trials:
+    for trial in trials:
         dth, dr = differentiate_trial(trial)
         n = trial.times.shape[0]
         sl = slice(TRIM + (-offset) % stride, n - TRIM, stride)
@@ -182,10 +172,10 @@ def _check_coverage(theta: np.ndarray):
                 f"oscillator {i}: angular coverage below 80% of 12 bins")
 
 
-def fit_network_vf(trial_set: TrialSet, single_spec: SingleBasisSpec,
-                   pair_spec: PairBasisSpec, row_budget: int) -> NetworkVF:
-    """Fit the uncoupled-plus-pairwise decomposition of the network field."""
-    th, r, dth, dr = _pooled_arrays(trial_set, row_budget)
+def fit_network_vf(rows, single_spec: SingleBasisSpec,
+                   pair_spec: PairBasisSpec) -> NetworkVF:
+    """Fit the uncoupled-plus-pairwise network field to ``pooled_rows`` output."""
+    th, r, dth, dr = rows
     _check_coverage(th)
     n_osc = th.shape[1]
     uncoupled, coupling, diagnostics = {}, {}, {}

@@ -130,14 +130,14 @@ def test_reconstruct_vf_rejects_uneven_trial_times(tmp_path, capsys):
     """A trial CSV whose times increase in uneven steps exits 2 with one
     line and writes no network_vf.json."""
     from pharec import pipeline, serialize
-    from pharec.vf_reconstruction import Trial, TrialSet
+    from pharec.vf_reconstruction import Trial
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
     serialize.write_json(str(tmp_path / "config.json"), doc, "config")
     t = np.arange(200) * 0.05
     t[100:] += 0.01
     theta = np.mod(np.stack([t, 1.3 * t], axis=1), 2 * np.pi)
     serialize.write_trial_set(str(tmp_path / "trials"),
-                              TrialSet([Trial(t, theta, np.ones_like(theta))], 0.05))
+                              [Trial(t, theta, np.ones_like(theta))], 0.05, {})
     assert cli.main(["reconstruct-vf", "--from", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "not uniform" in err and len(err.splitlines()) == 1
@@ -149,7 +149,7 @@ def test_reconstruct_vf_rejects_non_finite_trial_values(tmp_path, capsys):
     trial CSV exits 2 with one line naming the file and writes no
     network_vf.json."""
     from pharec import pipeline, serialize
-    from pharec.vf_reconstruction import Trial, TrialSet
+    from pharec.vf_reconstruction import Trial
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
     serialize.write_json(str(tmp_path / "config.json"), doc, "config")
     t = np.arange(200) * 0.05
@@ -159,7 +159,7 @@ def test_reconstruct_vf_rejects_non_finite_trial_values(tmp_path, capsys):
         theta = np.mod(np.stack([t, 1.3 * t], axis=1), 2 * np.pi)
         trial = Trial(t, theta, np.ones_like(theta))
         getattr(trial, column)[rows, 0] = value
-        serialize.write_trial_set(str(tmp_path / "trials"), TrialSet([trial], 0.05))
+        serialize.write_trial_set(str(tmp_path / "trials"), [trial], 0.05, {})
         assert cli.main(["reconstruct-vf", "--from", str(tmp_path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "trial_0000.csv" in err and "finite" in err
@@ -171,10 +171,9 @@ def test_reconstruct_vf_rejects_empty_trial_manifest(tmp_path, capsys):
     """A trials manifest that lists no files exits 2 with one line naming
     the manifest and writes no network_vf.json."""
     from pharec import pipeline, serialize
-    from pharec.vf_reconstruction import TrialSet
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
     serialize.write_json(str(tmp_path / "config.json"), doc, "config")
-    serialize.write_trial_set(str(tmp_path / "trials"), TrialSet([], 0.05))
+    serialize.write_trial_set(str(tmp_path / "trials"), [], 0.05, {})
     assert cli.main(["reconstruct-vf", "--from", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert str(tmp_path / "trials" / "manifest.json") in err
@@ -356,14 +355,13 @@ def test_trial_files_must_match_the_model(pipeline_runs, tmp_path, capsys,
     two-oscillator files, or in every file), or only 4 rows, exits 2 with
     one stderr line naming that file, and the stage writes nothing."""
     from pharec import serialize
-    from pharec.vf_reconstruction import TrialSet
     _copy_run(pipeline_runs["canonical"], tmp_path,
               ("config.json",) if command == "reconstruct-vf"
               else _ARTIFACTS + ("reduced_coupling.json",))
     trials = {"one_oscillator_file": [_trial(1), _trial(2)],
               "one_oscillator_trials": [_trial(1), _trial(1)],
               "four_rows": [_trial(2, rows=4), _trial(2)]}[case]
-    serialize.write_trial_set(str(tmp_path / "trials"), TrialSet(trials, 0.05))
+    serialize.write_trial_set(str(tmp_path / "trials"), trials, 0.05, {})
     assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert str(tmp_path / "trials" / "trial_0000.csv") in err
@@ -372,8 +370,11 @@ def test_trial_files_must_match_the_model(pipeline_runs, tmp_path, capsys,
 
 
 def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):
-    """A --seed override on a single stage lands in config.json."""
-    from pharec import serialize
+    """A --seed override on a single stage lands in config.json and in the
+    trials manifest, whose step is the shortest cycle period over
+    STEPS_PER_PERIOD."""
+    from pharec import pipeline, serialize
+    from pharec.limit_cycle import STEPS_PER_PERIOD
     run = pipeline_runs["radial_isochron_clock"]
     doc = serialize.read_json(os.path.join(run.out_dir, "config.json"), "config")
     doc.pop("schema")
@@ -386,7 +387,10 @@ def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):
     assert serialize.read_json(str(tmp_path / "config.json"), "config")["seed"] == 7
     manifest = serialize.read_json(str(tmp_path / "trials" / "manifest.json"),
                                    "trials")
-    assert manifest["metadata"]["seed"] == 7
+    assert manifest["metadata"] == {"kind": "radial_isochron_clock", "n_trials": 1,
+                                    "periods": doc["trial_periods"], "seed": 7}
+    _, cycles = pipeline._load(run.config, "limit_cycle")
+    assert manifest["step"] == min(c.period for c in cycles) / STEPS_PER_PERIOD
 
 
 def test_stage_out_must_match_from(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import os
+import shutil
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import MODEL_KINDS
-from pharec import pipeline, serialize
+from pharec import pipeline, serialize, vf_reconstruction
 from pharec.errors import InvalidConfig
 
 
@@ -107,3 +110,28 @@ def test_loaded_artifact_writes_back_the_same_bytes(pipeline_runs, tmp_path, nam
         serialize.write_json(str(path), pipeline._load(run.config, name).to_dict(), name)
         with open(os.path.join(run.out_dir, f"{name}.json"), "rb") as fh:
             assert path.read_bytes() == fh.read(), kind
+
+
+def test_stage_vf_frees_the_trials_before_the_fit(pipeline_runs, tmp_path, monkeypatch):
+    """No array read from a trial file is alive when the design fit starts:
+    the fit keeps a fraction of the rows, so the trials would only add to
+    the design's memory."""
+    run = pipeline_runs["canonical"]
+    shutil.copytree(os.path.join(run.out_dir, "trials"), tmp_path / "trials")
+    config = dataclasses.replace(run.config, out_dir=str(tmp_path))
+    read, fit = serialize.read_trial_csv, vf_reconstruction.fit_network_vf
+    backing, alive = [], []
+
+    def read_trial_csv(*args, **kwargs):
+        trial = read(*args, **kwargs)
+        backing.append(weakref.ref(trial.theta.base))
+        return trial
+
+    def fit_network_vf(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in backing))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(serialize, "read_trial_csv", read_trial_csv)
+    monkeypatch.setattr(vf_reconstruction, "fit_network_vf", fit_network_vf)
+    pipeline.stage_vf(config)
+    assert len(backing) == config.n_trials and alive == [0]

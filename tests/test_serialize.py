@@ -3,7 +3,7 @@ import pytest
 
 from pharec import serialize
 from pharec.errors import IoError
-from pharec.vf_reconstruction import Trial, TrialSet
+from pharec.vf_reconstruction import Trial
 
 
 def test_json_round_trip_and_schema(tmp_path):
@@ -51,14 +51,14 @@ def test_trial_csv_exact_round_trip(tmp_path):
 
 
 def test_trial_set_round_trip(tmp_path):
-    ts = TrialSet(trials=[make_trial(s) for s in range(3)], step=0.01,
-                  metadata={"kind": "demo", "seed": 1})
+    trials = [make_trial(s) for s in range(3)]
     out = str(tmp_path / "trials")
-    names = serialize.write_trial_set(out, ts)
+    names = serialize.write_trial_set(out, trials, 0.01, {"kind": "demo", "seed": 1})
     assert names == ["trial_0000.csv", "trial_0001.csv", "trial_0002.csv"]
     again = serialize.read_trial_set(out)
-    assert again.step == ts.step and again.metadata["kind"] == "demo"
-    np.testing.assert_array_equal(again.trials[2].r, ts.trials[2].r)
+    _, step, metadata = serialize.read_trial_manifest(out)
+    assert step == 0.01 and metadata == {"kind": "demo", "seed": 1}
+    np.testing.assert_array_equal(again[2].r, trials[2].r)
 
 
 def test_heatmap_csv(tmp_path):

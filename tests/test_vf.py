@@ -60,34 +60,17 @@ def test_nonuniform_and_short_trials_rejected():
 
 
 def test_fit_recovers_known_separable_field():
-    # dtheta_i = 1 + 0.2 r_i cos(theta_i); dr_i = r_i - r_i^2
-    # coupling into oscillator 1: 0.3 r_2... none; pure uncoupled network.
+    # dtheta_i = 1 + 0.2 r_i cos(theta_i); dr_i = r_i - r_i^2, plus
+    # 0.3 r_0 sin(theta_0) into dr_1; oscillator 0 takes no input.
     rng = np.random.default_rng(0)
     n_rows = 4000
     theta = rng.uniform(0, 2 * np.pi, size=(n_rows, 2))
     r = rng.uniform(0.7, 1.3, size=(n_rows, 2))
     dth = 1.0 + 0.2 * r * np.cos(theta)
     dr = r - r ** 2 + 0.3 * r[:, ::-1] * np.sin(theta[:, ::-1]) * np.array([0.0, 1.0])
-    # Build a fake trial set via a monkeypatched pooled path: use fit directly.
     single = SingleBasisSpec(2, 2)
     pair = PairBasisSpec(2, 1, 1, "observable")
-    # Emulate fit_network_vf's internals through the public API by building
-    # one long "trial" whose finite differences we bypass: instead fit ridge
-    # directly using eval helpers for the assertion.
-    from pharec.basis import FittedSeries, pair_row, single_row
-    from pharec.ridge import ridge_fit_multi
-    uncoupled = {}
-    coupling = {}
-    for i in range(2):
-        j = 1 - i
-        design = np.concatenate([single_row(single, theta[:, i], r[:, i]),
-                                 pair_row(pair, theta[:, i], r[:, i],
-                                          theta[:, j], r[:, j])], axis=1)
-        fits = ridge_fit_multi(design, np.stack([dth[:, i], dr[:, i]], axis=1))
-        for comp, fit in zip(("theta", "r"), fits):
-            uncoupled[(i, comp)] = FittedSeries(single, fit.coefficients[:single.size])
-            coupling[(i, j, comp)] = FittedSeries(pair, fit.coefficients[single.size:])
-    nvf = vfr.NetworkVF(2, single, pair, uncoupled, coupling)
+    nvf = vfr.fit_network_vf((theta, r, dth, dr), single, pair)
     # Uncoupled parts recovered.
     q = nvf.uncoupled[(0, "r")]
     assert q.coefficient(n=1, k=0) == pytest.approx(1.0, abs=1e-6)
@@ -136,13 +119,13 @@ def random_trials(rng, lengths, n_osc, step=0.01):
         r = 1.0 + 0.2 * np.sin(rng.uniform(0.3, 2.0, size=n_osc) * t[:, None]
                                + rng.uniform(0, 2 * np.pi, size=n_osc))
         trials.append(vfr.Trial(times=t, theta=theta, r=r))
-    return vfr.TrialSet(trials=trials, step=step)
+    return trials
 
 
-def reference_pooled(trial_set, row_budget):
+def reference_pooled(trials, row_budget):
     """Every trimmed trial concatenated, then every stride-th row kept."""
     columns = [[], [], [], []]
-    for trial in trial_set.trials:
+    for trial in trials:
         dth, dr = vfr.differentiate_trial(trial)
         sl = slice(vfr.TRIM, trial.times.shape[0] - vfr.TRIM)
         for col, x in zip(columns, (trial.theta, trial.r, dth, dr)):
@@ -152,13 +135,13 @@ def reference_pooled(trial_set, row_budget):
     return [x[::stride] for x in pooled]
 
 
-def assert_one_shot_bits(trial_set, single, pair, row_budget):
+def assert_one_shot_bits(trials, single, pair, row_budget):
     """fit_network_vf gives exactly the coefficients and kappa of one ridge
     fit per oscillator on a design built over every pooled row at once."""
     from pharec.basis import pair_row, single_row
     from pharec.ridge import ridge_fit_multi
-    nvf = vfr.fit_network_vf(trial_set, single, pair, row_budget)
-    th, r, dth, dr = reference_pooled(trial_set, row_budget)
+    nvf = vfr.fit_network_vf(vfr.pooled_rows(trials, row_budget), single, pair)
+    th, r, dth, dr = reference_pooled(trials, row_budget)
     n_osc = th.shape[1]
     for i in range(n_osc):
         others = [j for j in range(n_osc) if j != i]
@@ -180,8 +163,8 @@ def test_design_buffer_gives_the_bits_of_a_fresh_design():
     # Three oscillators, so each refill of the shared design buffer rewrites
     # two pairwise blocks; a stale or shifted block changes the coefficients.
     # 3 x 1,496 trimmed rows against a budget of 2,000 keep every second row.
-    trial_set = random_trials(np.random.default_rng(8), [1500] * 3, n_osc=3)
-    assert_one_shot_bits(trial_set, SingleBasisSpec(2, 2),
+    trials = random_trials(np.random.default_rng(8), [1500] * 3, n_osc=3)
+    assert_one_shot_bits(trials, SingleBasisSpec(2, 2),
                          PairBasisSpec(1, 1, 1, "observable"), row_budget=2000)
 
 
@@ -192,8 +175,8 @@ def test_design_filled_in_slices_gives_the_bits_of_a_fresh_design(rows):
     join that slice: a one-point basis row can differ in the last bit) and
     a short last slice, at the default orders and stride 1."""
     lengths = [rows // 3 + 2 * vfr.TRIM, rows - rows // 3 + 2 * vfr.TRIM]
-    trial_set = random_trials(np.random.default_rng(rows), lengths, n_osc=2)
-    assert_one_shot_bits(trial_set, SingleBasisSpec(4, 5),
+    trials = random_trials(np.random.default_rng(rows), lengths, n_osc=2)
+    assert_one_shot_bits(trials, SingleBasisSpec(4, 5),
                          PairBasisSpec(3, 2, 2, "observable"), row_budget=rows)
 
 
@@ -202,9 +185,9 @@ def test_pooled_arrays_pick_every_stride_th_row_of_the_concatenation(row_budget)
     """Trials of unequal lengths whose trimmed lengths (97, 53, 85, 41; 276
     in all) are not multiples of the stride (1, 2, 3 or 6), so each trial's
     first kept row depends on the rows of the trials before it."""
-    trial_set = random_trials(np.random.default_rng(3), [101, 57, 89, 45], n_osc=2)
-    got = vfr._pooled_arrays(trial_set, row_budget)
-    want = reference_pooled(trial_set, row_budget)
+    trials = random_trials(np.random.default_rng(3), [101, 57, 89, 45], n_osc=2)
+    got = vfr.pooled_rows(trials, row_budget)
+    want = reference_pooled(trials, row_budget)
     assert len(got) == 4
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
@@ -218,7 +201,7 @@ def test_design_fill_keeps_basis_temporaries_to_one_slice():
     single, pair, n_osc = SingleBasisSpec(0, 1), PairBasisSpec(3, 2, 2), 2
     rows = 10 * vfr._DESIGN_SLICE + 3
     lengths = [rows // 4 + 2 * vfr.TRIM] * 3 + [rows - 3 * (rows // 4) + 2 * vfr.TRIM]
-    trial_set = random_trials(np.random.default_rng(5), lengths, n_osc)
+    trials = random_trials(np.random.default_rng(5), lengths, n_osc)
     width = single.size + (n_osc - 1) * pair.size
     design_bytes = 8 * rows * width
     # Over every row: each trial's two derivatives, the four pooled columns
@@ -228,7 +211,7 @@ def test_design_fill_keeps_basis_temporaries_to_one_slice():
     margin = 8 * rows * (6 * n_osc + 2) + 4 * 8 * vfr._DESIGN_SLICE * width
     tracemalloc.start()
     try:
-        vfr.fit_network_vf(trial_set, single, pair, row_budget=rows)
+        vfr.fit_network_vf(vfr.pooled_rows(trials, rows), single, pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -132,13 +132,15 @@ def write_trial_set(out_dir: str, trials: list[Trial], step: float, metadata: di
 
 
 def read_trial_manifest(out_dir: str) -> tuple[list[str], float, dict]:
-    """Trial file paths (at least one), step and metadata of a trials manifest."""
+    """Trial file paths (at least one, each named once), step and metadata of
+    a trials manifest."""
     manifest = os.path.join(out_dir, "manifest.json")
-    paths, step, metadata = decode_json(manifest, "trials", lambda m: (
-        [os.path.join(out_dir, f) for f in m["files"]], m["step"], m["metadata"]))
-    if not paths:
-        raise IoError(f"{manifest}: lists no trial files")
-    return paths, step, metadata
+    files, step, metadata = decode_json(manifest, "trials", lambda m: (
+        m["files"], m["step"], m["metadata"]))
+    if not (isinstance(files, list) and files and all(isinstance(f, str) for f in files)
+            and len(set(files)) == len(files)):
+        raise IoError(f"{manifest}: 'files' must be a non-empty list of distinct file names")
+    return [os.path.join(out_dir, f) for f in files], step, metadata
 
 
 def read_trial_set(out_dir: str, n_oscillators: int | None = None) -> list[Trial]:

@@ -167,13 +167,18 @@ def test_reconstruct_vf_rejects_non_finite_trial_values(tmp_path, capsys):
         assert not (tmp_path / "network_vf.json").exists()
 
 
-def test_reconstruct_vf_rejects_empty_trial_manifest(tmp_path, capsys):
-    """A trials manifest that lists no files exits 2 with one line naming
-    the manifest and writes no network_vf.json."""
+@pytest.mark.parametrize("files", [[], "trial_0000.csv", ["trial_0000.csv"] * 2],
+                         ids=["no_files", "a_string", "a_file_twice"])
+def test_reconstruct_vf_rejects_empty_trial_manifest(tmp_path, capsys, files):
+    """A trials manifest whose files are not a non-empty list of distinct
+    names (none, one name as a string, or one file twice) exits 2 with one
+    line naming the manifest and writes no network_vf.json."""
     from pharec import pipeline, serialize
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
     serialize.write_json(str(tmp_path / "config.json"), doc, "config")
-    serialize.write_trial_set(str(tmp_path / "trials"), [], 0.05, {})
+    serialize.write_trial_set(str(tmp_path / "trials"), [_trial(2)], 0.05, {})
+    serialize.write_json(str(tmp_path / "trials" / "manifest.json"),
+                         {"files": files, "step": 0.05, "metadata": {}}, "trials")
     assert cli.main(["reconstruct-vf", "--from", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert str(tmp_path / "trials" / "manifest.json") in err

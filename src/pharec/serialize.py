@@ -132,8 +132,7 @@ def write_trial_set(out_dir: str, trials: list[Trial], step: float, metadata: di
 
 
 def read_trial_manifest(out_dir: str) -> tuple[list[str], float, dict]:
-    """Trial file paths (at least one, each named once), step and metadata of
-    a trials manifest."""
+    """Trial file paths (at least one, each once), step and metadata of a trials manifest."""
     manifest = os.path.join(out_dir, "manifest.json")
     files, step, metadata = decode_json(manifest, "trials", lambda m: (
         m["files"], m["step"], m["metadata"]))

@@ -316,14 +316,20 @@ def stage_reduce(config: PipelineConfig) -> dict:
     return doc
 
 
-def _row(name: str, value: float, bound: float, lower_is_pass: bool = True) -> dict:
-    ok = bool(value <= bound) if lower_is_pass else bool(value >= bound)
-    return {"name": name, "value": float(value), "bound": float(bound), "pass": ok}
+def _row(name: str, value: float, tol: str, lower_is_pass: bool = True) -> dict:
+    """Row held to the bound ``TOLERANCES[tol]``, a ceiling or a floor. Its
+    headroom, value/bound or bound/value, is at most 1 while it passes, and
+    null where that would divide by zero."""
+    value, bound = float(value), float(TOLERANCES[tol])
+    num, den = (value, bound) if lower_is_pass else (bound, value)
+    return {"name": name, "value": value, "bound": bound,
+            "pass": bool(value <= bound) if lower_is_pass else bool(value >= bound),
+            "headroom": num / den if den else None}
 
 
 def _skip_rows(*names: str) -> list:
     return [{"name": name, "value": None, "bound": None, "pass": True,
-             "note": "oracle unavailable"} for name in names]
+             "headroom": None, "note": "oracle unavailable"} for name in names]
 
 
 def _pairs(eps: np.ndarray):
@@ -338,155 +344,149 @@ def _sup(series: dict, i: int, j: int, parts) -> float:
     return max(float(np.abs(series[(i, j, p)].coefficients).max()) for p in parts)
 
 
+def _lambda_rows(cycles, lam_slopes, truths):
+    """λ by the monodromy and by the slope route against the closed form, and
+    the two routes against each other."""
+    for i, (cycle, slope) in enumerate(zip(cycles, lam_slopes)):
+        if truths is None:
+            yield from _skip_rows(f"lambda_monodromy_osc{i}", f"lambda_slope_osc{i}")
+        else:
+            lam = truths[i].lam
+            yield _row(f"lambda_monodromy_osc{i}", abs(cycle.lam - lam) / abs(lam),
+                       "lambda_monodromy_rel")
+            yield _row(f"lambda_slope_osc{i}", abs(slope - lam) / abs(lam), "lambda_slope_rel")
+        yield _row(f"lambda_routes_osc{i}", abs(slope - cycle.lam) / abs(cycle.lam),
+                   "lambda_routes_rel")
+
+
+def _transform_rows(config, cycles, tsets, vfs, truths):
+    """Per oscillator: σ and φ against the closed form, then the composition and
+    invariance residuals inside the fitted domain, on radii that follow the
+    cycle profile so non-circular cycles stay inside the sampled annulus."""
+    ric = config.model_spec.kind == models.RADIAL_ISOCHRON_CLOCK
+    th = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    u_lo, u_hi = config.radial_span
+    trim = 0.1 * (u_hi - u_lo)
+    TH, U = np.meshgrid(th, np.linspace(u_lo + trim, u_hi - trim, 15))
+    for i, (cycle, ts, vf) in enumerate(zip(cycles, tsets, vfs)):
+        if truths is None:
+            yield from _skip_rows(f"sigma_transform_osc{i}", f"phi_transform_osc{i}")
+        else:
+            gt = truths[i]
+            TH_a, R_a = np.meshgrid(th, np.linspace(0.8, 1.3 if ric else 1.25, 15))
+            phi_fit, sig_fit = ts.inverse(TH_a, R_a)
+            if ric:
+                sig_err = np.abs(sig_fit - gt.sigma_scale * gt.sigma(TH_a, R_a))
+                yield _row(f"sigma_transform_osc{i}", float(sig_err.max()), "sigma_abs")
+            else:
+                ana = gt.sigma(TH_a, R_a)
+                scale = float(np.sum(sig_fit * ana) / np.sum(ana * ana))
+                rel = float(np.abs(sig_fit - scale * ana).max() / np.abs(scale * ana).max())
+                yield _row(f"sigma_transform_osc{i}", rel, "sigma_rel_scaled")
+            err = float(np.abs(_wrap(phi_fit - gt.phi(TH_a, R_a))).max())
+            yield _row(f"phi_transform_osc{i}", err, "phi_abs_ric" if ric else "phi_abs_canonical")
+        R = U * cycle.gamma_at(TH)
+        k_theta, k_r = ts.forward(*ts.inverse(TH, R))
+        comp = max(float(np.abs(k_r - R).max()), float(np.abs(_wrap(k_theta - TH)).max()))
+        yield _row(f"composition_osc{i}", comp, "composition_abs")
+        f = vf(np.stack([TH, R], axis=-1))
+        (_, dpt, dpr), (sig, dst, dsr) = ts.inverse_grad(TH, R)
+        res_phi = np.sqrt(np.mean((f[..., 0] * dpt + f[..., 1] * dpr - cycle.omega) ** 2))
+        res_sig = np.sqrt(np.mean((f[..., 0] * dst + f[..., 1] * dsr - cycle.lam * sig) ** 2))
+        yield _row(f"pde_phi_osc{i}", float(res_phi / cycle.omega), "pde_phi_rel")
+        yield _row(f"pde_sigma_osc{i}", float(res_sig / (abs(cycle.lam) * np.abs(sig).max())),
+                   "pde_sigma_rel")
+
+
+def _field_rows(spec, nvf, vfs, trial):
+    """Fitted uncoupled field against the model's own at observed data points
+    (the first trial, decimated); on the radial isochron clock, also its
+    linear and cubic radial coefficients against a and -a."""
+    for i, vf in enumerate(vfs):
+        th_d, r_d = trial.theta[::10, i], trial.r[::10, i]
+        fitted = vf_reconstruction.eval_uncoupled(nvf, i, th_d, r_d)
+        dev = np.abs(fitted - vf(np.stack([th_d, r_d], axis=-1)))
+        yield _row(f"vf_uncoupled_osc{i}_theta", float(dev[..., 0].max()), "vf_uncoupled_abs")
+        yield _row(f"vf_uncoupled_osc{i}_r", float(dev[..., 1].max()), "vf_uncoupled_abs")
+        if spec.kind == models.RADIAL_ISOCHRON_CLOCK:
+            a, radial = spec.param("a", i), nvf.uncoupled[(i, "r")]
+            yield _row(f"vf_radial_linear_osc{i}", abs(radial.coefficient(n=1, k=0) - a) / a,
+                       "vf_radial_coeff_rel")
+            yield _row(f"vf_radial_cubic_osc{i}", abs(radial.coefficient(n=3, k=0) + a) / a,
+                       "vf_radial_coeff_rel")
+
+
+def _factorization_rows(spec, rc):
+    """On van der Pol, the leading singular value's share of the energy of each
+    driven pair's reduced φ coupling, its panels tiled by (σ_i, σ_j) powers up
+    to m_max; a floor."""
+    powers = range(rc.spec.m_max + 1)
+    for i, j in _pairs(spec.coupling)[0] if spec.kind == models.VAN_DER_POL else ():
+        panels = coupling.heatmap_layout(rc, i, j, "phi")["panels"]
+        mat = np.block([[panels[(mi, mj)] for mj in powers] for mi in powers])
+        sv = np.linalg.svd(mat, compute_uv=False)
+        yield _row(f"factorization_{i}<-{j}", float(sv[0] ** 2 / np.sum(sv ** 2)),
+                   "factorization_energy", lower_is_pass=False)
+
+
+def _directionality_rows(spec, nvf, rc):
+    """Coupling fitted into each silent direction against the driven reverse
+    one, in the observable and in the reduced coordinates."""
+    for i, j in _pairs(spec.coupling)[1]:
+        for label, series, parts in (("observable", nvf.coupling, ("theta", "r")),
+                                     ("reduced", rc.series, ("phi", "sigma"))):
+            yield _row(f"directionality_{label}_{i}<-{j}",
+                       _sup(series, i, j, parts) / _sup(series, j, i, parts),
+                       "directionality_ratio")
+
+
+def _reduced_table_rows(spec, rc, truths):
+    """Reduced coupling coefficients of each driven pair against the closed-form
+    tables, over the terms of at least a tenth of the coupling strength: the
+    first term of the (0, 0) φ panel, and the worst term of both equations."""
+    if truths is None:
+        return
+    for i, j in _pairs(spec.coupling)[0]:
+        tables = models.analytic_reduced_coupling_terms(spec, i, j)
+        worst, main_rel = 0.0, None
+        for eq in ("phi", "sigma"):
+            fitted = rc.series[(i, j, eq)]
+            for (mi, mj), terms in tables[eq].items():
+                for (own, inp), want in terms.items():
+                    if abs(want) < 0.1 * abs(spec.coupling[i, j]):
+                        continue
+                    got = fitted.coefficient(mi=mi, mj=mj, own_k=0 if own == "1" else 1,
+                                             own_trig=own, inp_k=1, inp_trig=inp)
+                    rel = abs(got - want) / abs(want)
+                    worst = max(worst, rel)
+                    if eq == "phi" and (mi, mj) == (0, 0) and main_rel is None:
+                        main_rel = rel
+        yield _row(f"reduced_main_{i}<-{j}", main_rel, "reduced_main_rel")
+        yield _row(f"reduced_table_{i}<-{j}", worst, "reduced_table_rel")
+
+
 def stage_compare(config: PipelineConfig) -> dict:
-    """Tolerance report against analytic oracles and structural checks."""
+    """Tolerance report against analytic oracles and structural checks: the
+    artifacts loaded once, then the rows of each family in turn."""
     spec = config.model_spec
-    tol = TOLERANCES
     frames, cycles = _load(config, "limit_cycle")
     vfs = _oscillator_fields(config, frames)
     tsets, lam_slopes = _load(config, "transforms")
     nvf = _load(config, "network_vf")
     rc = _load(config, "reduced_coupling")
-
-    try:
-        truths = [models.analytic_ground_truth(spec, i)
-                  for i in range(spec.n_oscillators)]
-    except NoAnalyticForm:
-        truths = None
-
-    rows = []
-    for i, cycle in enumerate(cycles):
-        if truths is not None:
-            gt = truths[i]
-            rows.append(_row(f"lambda_monodromy_osc{i}",
-                             abs(cycle.lam - gt.lam) / abs(gt.lam),
-                             tol["lambda_monodromy_rel"]))
-            rows.append(_row(f"lambda_slope_osc{i}",
-                             abs(lam_slopes[i] - gt.lam) / abs(gt.lam),
-                             tol["lambda_slope_rel"]))
-        else:
-            rows += _skip_rows(f"lambda_monodromy_osc{i}", f"lambda_slope_osc{i}")
-        rows.append(_row(f"lambda_routes_osc{i}",
-                         abs(lam_slopes[i] - cycle.lam) / abs(cycle.lam),
-                         tol["lambda_routes_rel"]))
-
-    th = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
-    u_lo, u_hi = config.radial_span
-    trim = 0.1 * (u_hi - u_lo)
-    u = np.linspace(u_lo + trim, u_hi - trim, 15)
-    for i, (cycle, ts) in enumerate(zip(cycles, tsets)):
-        if truths is not None:
-            r_hi = 1.3 if spec.kind == models.RADIAL_ISOCHRON_CLOCK else 1.25
-            TH, R = np.meshgrid(th, np.linspace(0.8, r_hi, 15))
-            gt = truths[i]
-            phi_fit, sig_fit = ts.inverse(TH, R)
-            ric = spec.kind == models.RADIAL_ISOCHRON_CLOCK
-            if ric:
-                sig_err = np.abs(sig_fit - gt.sigma_scale * gt.sigma(TH, R))
-                rows.append(_row(f"sigma_transform_osc{i}", float(sig_err.max()),
-                                 tol["sigma_abs"]))
-            else:
-                ana = gt.sigma(TH, R)
-                scale = float(np.sum(sig_fit * ana) / np.sum(ana * ana))
-                rel = float(np.abs(sig_fit - scale * ana).max() / np.abs(scale * ana).max())
-                rows.append(_row(f"sigma_transform_osc{i}", rel,
-                                 tol["sigma_rel_scaled"]))
-            rows.append(_row(f"phi_transform_osc{i}",
-                             float(np.abs(_wrap(phi_fit - gt.phi(TH, R))).max()),
-                             tol["phi_abs_ric" if ric else "phi_abs_canonical"]))
-        else:
-            rows += _skip_rows(f"sigma_transform_osc{i}", f"phi_transform_osc{i}")
-
-        # Composition and invariance residuals on the interior of the fitted
-        # domain, following the cycle profile so non-circular cycles stay
-        # inside the sampled annulus.
-        TH, U = np.meshgrid(th, u)
-        R = U * cycle.gamma_at(TH)
-        k_theta, k_r = ts.forward(*ts.inverse(TH, R))
-        comp = max(float(np.abs(k_r - R).max()), float(np.abs(_wrap(k_theta - TH)).max()))
-        rows.append(_row(f"composition_osc{i}", comp, tol["composition_abs"]))
-
-        f = vfs[i](np.stack([TH, R], axis=-1))
-        (_, dpt, dpr), (sig, dst, dsr) = ts.inverse_grad(TH, R)
-        res_phi = np.sqrt(np.mean((f[..., 0] * dpt + f[..., 1] * dpr - cycle.omega) ** 2))
-        res_sig = np.sqrt(np.mean((f[..., 0] * dst + f[..., 1] * dsr - cycle.lam * sig) ** 2))
-        rows.append(_row(f"pde_phi_osc{i}", float(res_phi / cycle.omega),
-                         tol["pde_phi_rel"]))
-        rows.append(_row(f"pde_sigma_osc{i}",
-                         float(res_sig / (abs(cycle.lam) * np.abs(sig).max())),
-                         tol["pde_sigma_rel"]))
-
-    # Fitted uncoupled field against the model's own uncoupled field at
-    # observed data points (first trial, decimated).
     paths, _, _ = serialize.read_trial_manifest(os.path.join(config.out_dir, "trials"))
     trial = serialize.read_trial_csv(paths[0], spec.n_oscillators)
-    for i in range(spec.n_oscillators):
-        th_d, r_d = trial.theta[::10, i], trial.r[::10, i]
-        fitted = vf_reconstruction.eval_uncoupled(nvf, i, th_d, r_d)
-        true = vfs[i](np.stack([th_d, r_d], axis=-1))
-        dev = np.abs(fitted - true)
-        rows.append(_row(f"vf_uncoupled_osc{i}_theta",
-                         float(dev[..., 0].max()), tol["vf_uncoupled_abs"]))
-        rows.append(_row(f"vf_uncoupled_osc{i}_r",
-                         float(dev[..., 1].max()), tol["vf_uncoupled_abs"]))
-        if spec.kind == models.RADIAL_ISOCHRON_CLOCK:
-            a = spec.param("a", i)
-            q1 = nvf.uncoupled[(i, "r")].coefficient(n=1, k=0)
-            q3 = nvf.uncoupled[(i, "r")].coefficient(n=3, k=0)
-            rows.append(_row(f"vf_radial_linear_osc{i}",
-                             abs(q1 - a) / a, tol["vf_radial_coeff_rel"]))
-            rows.append(_row(f"vf_radial_cubic_osc{i}",
-                             abs(q3 + a) / a, tol["vf_radial_coeff_rel"]))
-
-    driven, silent = _pairs(spec.coupling)
-    if spec.kind == models.VAN_DER_POL:
-        for i, j in driven:
-            # Panels tiled by (sigma_i power, sigma_j power); the reduced
-            # basis has every pair of powers up to m_max.
-            panels = coupling.heatmap_layout(rc, i, j, "phi")["panels"]
-            powers = range(rc.spec.m_max + 1)
-            mat = np.block([[panels[(mi, mj)] for mj in powers] for mi in powers])
-            sv = np.linalg.svd(mat, compute_uv=False)
-            rows.append(_row(f"factorization_{i}<-{j}",
-                             float(sv[0] ** 2 / np.sum(sv ** 2)),
-                             tol["factorization_energy"], lower_is_pass=False))
-
-    for i, j in silent:
-        rows.append(_row(f"directionality_observable_{i}<-{j}",
-                         _sup(nvf.coupling, i, j, ("theta", "r"))
-                         / _sup(nvf.coupling, j, i, ("theta", "r")),
-                         tol["directionality_ratio"]))
-        rows.append(_row(f"directionality_reduced_{i}<-{j}",
-                         _sup(rc.series, i, j, ("phi", "sigma"))
-                         / _sup(rc.series, j, i, ("phi", "sigma")),
-                         tol["directionality_ratio"]))
-
-    if truths is not None:
-        for i, j in driven:
-            tables = models.analytic_reduced_coupling_terms(spec, i, j)
-            worst = 0.0
-            main_rel = None
-            for eq in ("phi", "sigma"):
-                fitted = rc.series[(i, j, eq)]
-                for (mi, mj), terms in tables[eq].items():
-                    for (own, inp), want in terms.items():
-                        if abs(want) < 0.1 * abs(spec.coupling[i, j]):
-                            continue
-                        own_k = 0 if own == "1" else 1
-                        got = fitted.coefficient(mi=mi, mj=mj, own_k=own_k,
-                                                 own_trig=own, inp_k=1,
-                                                 inp_trig=inp)
-                        rel = abs(got - want) / abs(want)
-                        worst = max(worst, rel)
-                        if eq == "phi" and (mi, mj) == (0, 0) and main_rel is None:
-                            main_rel = rel
-            rows.append(_row(f"reduced_main_{i}<-{j}", main_rel,
-                             tol["reduced_main_rel"]))
-            rows.append(_row(f"reduced_table_{i}<-{j}", worst,
-                             tol["reduced_table_rel"]))
-
-    report = {"model": spec.kind, "rows": rows,
-              "pass": all(r["pass"] for r in rows)}
+    try:
+        truths = [models.analytic_ground_truth(spec, i) for i in range(spec.n_oscillators)]
+    except NoAnalyticForm:
+        truths = None
+    rows = [*_lambda_rows(cycles, lam_slopes, truths),
+            *_transform_rows(config, cycles, tsets, vfs, truths),
+            *_field_rows(spec, nvf, vfs, trial),
+            *_factorization_rows(spec, rc),
+            *_directionality_rows(spec, nvf, rc),
+            *_reduced_table_rows(spec, rc, truths)]
+    report = {"model": spec.kind, "rows": rows, "pass": all(r["pass"] for r in rows)}
     _write(config.out_dir, "report", report)
     return report
 

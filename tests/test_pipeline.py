@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import shutil
 import weakref
@@ -97,6 +98,23 @@ def test_tolerance_table_present():
     for key in ("lambda_monodromy_rel", "pde_phi_rel", "composition_abs",
                 "directionality_ratio", "reduced_table_rel"):
         assert key in pipeline.TOLERANCES
+
+
+def test_report_rows_record_their_headroom(pipeline_runs):
+    """Every row with a value records its headroom, value/bound or, for the
+    factorization floors, bound/value, and a passing row's is at most 1; a
+    row without an oracle records none."""
+    for kind in MODEL_KINDS:
+        with open(os.path.join(pipeline_runs[kind].out_dir, "report.json")) as fh:
+            rows = json.load(fh)["rows"]
+        for row in rows:
+            value, bound = row["value"], row["bound"]
+            if value is None:
+                assert row["headroom"] is None
+                continue
+            floor = row["name"].startswith("factorization_")
+            assert row["headroom"] == (bound / value if floor else value / bound), row
+            assert row["headroom"] <= 1 or not row["pass"], row
 
 
 @pytest.mark.parametrize("name", ["network_vf", "reduced_coupling"])

@@ -5,9 +5,10 @@
 Finds each ``report.json`` under the two roots, pairs them by their path
 relative to the root, labels each pair model/seed from the ``config.json``
 beside it, and prints one Markdown table row per report row: parent value,
-change value, |delta| and the change's headroom.  Headroom is value/bound,
-or bound/value for the ``factorization_*`` floors, so a row passes while
-it is at most 1.  Rows without an oracle are listed under the table.
+change value, |delta| and the change row's own ``headroom`` (value/bound,
+or bound/value for a floor, so at most 1 while the row passes; ``n/a``
+where the row records none).  Rows without an oracle are listed under the
+table.
 
 Exits 1 if the roots hold different reports or row names, or if any row
 fails on either side; 0 otherwise.
@@ -32,13 +33,6 @@ def load_reports(root: str) -> dict:
             out[os.path.relpath(base, root)] = (f"{report['model']}/{seed}",
                                                 report["rows"])
     return out
-
-
-def headroom(row: dict) -> float:
-    value, bound = row["value"], row["bound"]
-    if row["name"].startswith("factorization_"):
-        return bound / value if value else float("inf")
-    return value / bound if bound else float("inf")
 
 
 def main(argv=None) -> int:
@@ -67,8 +61,9 @@ def main(argv=None) -> int:
                 skipped.append(f"{label} `{new['name']}`")
                 continue
             delta = abs(new["value"] - old["value"])
+            room = "n/a" if new.get("headroom") is None else f"{new['headroom']:.3f}"
             print(f"| {label} | `{new['name']}` | {old['value']:.6g} | "
-                  f"{new['value']:.6g} | {delta:.2g} | {headroom(new):.3f} |")
+                  f"{new['value']:.6g} | {delta:.2g} | {room} |")
     if skipped:
         print(f"\nWithout an oracle ({len(skipped)}): {', '.join(skipped)}")
     for line in problems:

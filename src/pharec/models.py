@@ -88,6 +88,8 @@ class ModelSpec:
             raise ValueError(f"{self.kind} takes parameters {', '.join(names)}, "
                              f"each with one finite number per oscillator ({n}); "
                              f"got {self.params!r}")
+        if not np.isfinite(self.coupling).all():
+            raise ValueError(f"coupling matrix must be finite; got {self.coupling.tolist()!r}")
         if np.any(np.diag(self.coupling) != 0.0):
             raise ValueError("self-coupling must be zero")
         if self.kind == RADIAL_ISOCHRON_CLOCK and np.any(np.asarray(self.params["a"]) <= 0):

@@ -107,6 +107,8 @@ class PipelineConfig:
     row_budget: int = 60000
 
     def __post_init__(self):
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise InvalidConfig("out_dir", "must be a non-empty path")
         for key, low in _INT_MINIMUMS.items():
             value = getattr(self, key)
             if not (_is_int(value) and value >= low):

@@ -40,6 +40,20 @@ def test_invalid_config_value_is_usage_error(tmp_path):
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("out_dir", [5, None, ""], ids=["number", "null", "empty"])
+def test_config_out_dir_must_be_a_path(tmp_path, capsys, out_dir):
+    """An out_dir that is not a non-empty string exits 2 with one stderr line
+    naming the key, before any stage runs."""
+    from pharec import pipeline, serialize
+    doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
+    path = str(tmp_path / "cfg.json")
+    serialize.write_json(path, dict(doc, out_dir=out_dir), "config")
+    assert cli.main(["limit-cycle", "--config", path]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "out_dir" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_removed_config_keys_are_usage_errors(tmp_path, capsys):
     """A config.json that still holds gamma_harmonics, grid_seed, tolerances
     or transform_orders: null exits 2 and names the key, both through

@@ -56,6 +56,8 @@ def test_invalid_values_rejected():
                    "coupling": two},
                   {"kind": "van_der_pol", "params": {"mu": [None, 0.5]},
                    "coupling": two},
+                  dict(base["model"], coupling=[[0.0, float("nan")], [0.3, 0.0]]),
+                  dict(base["model"], coupling=[[0.0, 0.0], [float("inf"), 0.0]]),
                   dict(base["model"], extra=1)):
         with pytest.raises(InvalidConfig):
             pipeline.PipelineConfig.from_dict(dict(base, model=model))

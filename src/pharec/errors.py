@@ -6,7 +6,7 @@ class PharecError(Exception):
 
 
 class InvalidStep(PharecError):
-    """Integration step is non-positive or larger than the duration."""
+    """Integration step is non-positive, larger than the duration, or no finite step count."""
 
 
 class NonFiniteState(PharecError):

@@ -171,11 +171,14 @@ def wc_equilibrium(spec: ModelSpec, i: int) -> tuple[float, float]:
     raise NoConvergence("Wilson-Cowan equilibrium did not converge")
 
 
-def _field(kind: str, p: dict, u, v, drive):
+def _field(kind: str, p: dict, u, v, drive=None):
     """(du/dt, dv/dt) of one kind's equations plus the coupling input ``drive``.
 
     ``(u, v)`` is (theta, r) for polar kinds and (x, y) for Cartesian kinds;
-    ``p`` maps parameter names to scalars or to arrays over oscillators.
+    ``p`` maps parameter names to scalars or to arrays over oscillators, and
+    ``drive=None`` means uncoupled: a polar kind then skips its drive terms (sin,
+    cos, division by r; the clock's constant θ-rate still takes ``v``'s shape),
+    whose zeros change no bit: x + (±0.0) = x for x ≠ 0, +0.0 + (±0.0) = +0.0.
     Squares are written as products: NumPy scalars square through C ``pow``,
     arrays through ``x * x``, and the two can differ in the last bit.
 
@@ -188,10 +191,15 @@ def _field(kind: str, p: dict, u, v, drive):
         if (v <= 0).any():
             raise NonPositiveRadius("polar model evaluated at r <= 0")
         if kind == RADIAL_ISOCHRON_CLOCK:
-            return (1.0 + drive * np.cos(u) / v,
-                    p["a"] * v * (1.0 - v * v) + drive * np.sin(u))
-        return (1.0 + p["alpha"] * p["a"] * (v * v) - drive * np.sin(u) / v,
-                p["alpha"] * v * (1.0 - v * v) + drive * np.cos(u))
+            du, dv = 1.0, p["a"] * v * (1.0 - v * v)
+            if drive is None:
+                return np.full_like(v, du), dv
+            return du + drive * np.cos(u) / v, dv + drive * np.sin(u)
+        du, dv = 1.0 + p["alpha"] * p["a"] * (v * v), p["alpha"] * v * (1.0 - v * v)
+        if drive is None:
+            return du, dv
+        return du - drive * np.sin(u) / v, dv + drive * np.cos(u)
+    drive = 0.0 if drive is None else drive
     if kind == VAN_DER_POL:
         return v, p["mu"] * (1.0 - u * u) * v - u + drive
     return (-u + sigmoid(p["rho_x"] + p["a"] * u - p["b"] * v),
@@ -242,7 +250,7 @@ def _uncoupled_field(spec: ModelSpec, i: int):
     """``(u, v) -> (du/dt, dv/dt)`` of oscillator ``i`` with coupling removed."""
     kind = spec.kind
     p = {k: spec.param(k, i) for k in spec.params}
-    return lambda u, v: _field(kind, p, u, v, 0.0)
+    return lambda u, v: _field(kind, p, u, v)
 
 
 def _planar_vf(field):

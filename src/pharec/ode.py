@@ -68,7 +68,11 @@ def _n_steps(duration: float, step: float) -> int:
         raise InvalidStep(f"step must be positive, got {step}")
     if duration < step:
         raise InvalidStep(f"duration {duration} smaller than step {step}")
-    return int(round(duration / step))
+    # NaN passes both comparisons above, and an overflowing quotient is inf.
+    n = duration / step
+    if not np.isfinite(n):
+        raise InvalidStep(f"duration {duration} over step {step} is not a finite step count")
+    return int(round(n))
 
 
 def integrate(vf, state0, duration: float, step: float) -> Trajectory:

@@ -412,6 +412,21 @@ def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):
     assert manifest["step"] == min(c.period for c in cycles) / STEPS_PER_PERIOD
 
 
+def test_overflowing_trial_duration_is_numerical_error(pipeline_runs, tmp_path, capsys):
+    """A trial duration whose step count overflows makes simulate exit 3 with
+    one stderr line, and write no trials."""
+    from pharec import serialize
+    _copy_run(pipeline_runs["canonical"], tmp_path, ("config.json", "limit_cycle.json"))
+    doc = serialize.read_json(str(tmp_path / "config.json"), "config")
+    doc.pop("schema")
+    doc.update(trial_periods=1e308, out_dir=str(tmp_path))
+    serialize.write_json(str(tmp_path / "config.json"), doc, "config")
+    assert cli.main(["simulate", "--from", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "InvalidStep" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "trials" / "manifest.json").exists()
+
+
 def test_stage_out_must_match_from(tmp_path, capsys):
     """A stage command rejects --out NEW with --from DIR before writing."""
     from pharec import pipeline, serialize

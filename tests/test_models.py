@@ -48,9 +48,18 @@ def test_canonical_uncoupled_field():
 
 
 def test_polar_kind_rejects_nonpositive_radius():
-    spec = models.default_spec("radial_isochron_clock")
-    with pytest.raises(NonPositiveRadius):
-        models.network_vf(spec)(np.array([[0.0, 1.0], [0.0, -0.1]]))
+    """Every field and Jacobian of a polar kind checks the radius, coupled or not."""
+    for kind in ("radial_isochron_clock", "canonical"):
+        spec = models.default_spec(kind)
+        for r in (0.0, -0.0, -0.1, -0.3):
+            with pytest.raises(NonPositiveRadius):
+                models.network_vf(spec)(np.array([[0.0, 1.0], [0.4, r]]))
+            for i in range(2):
+                for fn in (models.uncoupled_vf(spec, i), models.uncoupled_jacobian(spec, i),
+                           models.polar_uncoupled_vf(spec, i),
+                           models.polar_uncoupled_jacobian(spec, i, models.ObservableFrame())):
+                    with pytest.raises(NonPositiveRadius):
+                        fn(np.array([0.4, r]))
 
 
 def test_network_field_coupling_direction():
@@ -90,6 +99,48 @@ def test_one_formula_behind_every_field():
                               rng.uniform(*span, 4000)], axis=-1)
             single = np.stack([vf(s) for s in batch])
             assert np.array_equal(single, vf(batch))
+
+
+def _zero_drive_field(spec, i):
+    """Oscillator i's coupled expression driven by an explicit array of zeros."""
+    p = {k: spec.param(k, i) for k in spec.params}
+    return lambda u, v: models._field(spec.kind, p, u, v, np.zeros(np.shape(u)))
+
+
+def test_drive_free_fields_keep_the_zero_drive_bits(monkeypatch):
+    """The uncoupled fields and Jacobians, which evaluate no drive term, give
+    the coupled expression's bits under a zero drive array, signed zeros
+    included: r = 1 (where the radial term is +0.0) and angles whose sine and
+    cosine are both negative are among the states."""
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 200), [3.5, 4.0, 4.5, 2.0, 5.5]])
+    polar = np.stack([theta, np.concatenate([rng.uniform(0.1, 2.0, 200), np.ones(5)])],
+                     axis=-1)
+    for kind in KINDS:
+        spec = models.default_spec(kind)
+        frames = models.estimate_frame(spec)
+        for i in range(2):
+            native = (polar if kind in ("radial_isochron_clock", "canonical")
+                      else np.asarray(frames[i].center) + 0.3 * rng.standard_normal((205, 2)))
+            # (factory, its frame argument, states, whether it takes a batch)
+            factories = ((models.uncoupled_vf, (), native, True),
+                         (models.polar_uncoupled_vf, (frames[i],), polar, True),
+                         (models.uncoupled_jacobian, (), native, False),
+                         (models.polar_uncoupled_jacobian, (frames[i],), polar, False))
+
+            def outputs():
+                out = []
+                for factory, args, states, batch in factories:
+                    fn = factory(spec, i, *args)
+                    if batch:
+                        out.append(fn(states).tobytes())
+                    out += [fn(s).tobytes() for s in states]
+                return out
+
+            drive_free = outputs()
+            with monkeypatch.context() as m:
+                m.setattr(models, "_uncoupled_field", _zero_drive_field)
+                assert outputs() == drive_free, (kind, i)
 
 
 def _network_signal(spec, states):
@@ -241,16 +292,6 @@ def test_polar_jacobians_of_cartesian_kinds_exact():
             for state in states:
                 ref = _polar_reference_jacobian(spec, i, frame, state)
                 assert np.abs(jac(state) - ref).max() <= 1e-12, (kind, i, state)
-
-
-def test_polar_jacobian_rejects_nonpositive_radius():
-    for kind in ("radial_isochron_clock", "canonical"):
-        spec = models.default_spec(kind)
-        for jac in (models.uncoupled_jacobian(spec, 1),
-                    models.polar_uncoupled_jacobian(spec, 1, models.ObservableFrame())):
-            for r in (0.0, -0.0, -0.3):
-                with pytest.raises(NonPositiveRadius):
-                    jac(np.array([0.4, r]))
 
 
 def test_wilson_cowan_equilibrium_is_fixed_point():

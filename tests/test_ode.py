@@ -45,6 +45,10 @@ def test_invalid_step_raises():
         ode.integrate(decay, np.array([1.0, 1.0]), 1.0, 0.0)
     with pytest.raises(InvalidStep):
         ode.integrate(decay, np.array([1.0, 1.0]), 0.001, 0.01)
+    # A NaN duration or step, or a step count that overflows to inf.
+    for duration, step in ((np.nan, 0.01), (1.0, np.nan), (np.inf, 0.01), (1e308, 0.01)):
+        with pytest.raises(InvalidStep, match="not a finite step count"):
+            ode.integrate(decay, np.array([1.0, 1.0]), duration, step)
 
 
 def test_nonfinite_state_raises():

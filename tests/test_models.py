@@ -62,6 +62,16 @@ def test_polar_kind_rejects_nonpositive_radius():
                         fn(np.array([0.4, r]))
 
 
+def test_polar_jacobian_rejects_nonpositive_radius():
+    for kind in ("radial_isochron_clock", "canonical"):
+        spec = models.default_spec(kind)
+        for jac in (models.uncoupled_jacobian(spec, 1),
+                    models.polar_uncoupled_jacobian(spec, 1, models.ObservableFrame())):
+            for r in (0.0, -0.0, -0.3):
+                with pytest.raises(NonPositiveRadius):
+                    jac(np.array([0.4, r]))
+
+
 def test_network_field_coupling_direction():
     spec = models.default_spec("radial_isochron_clock")
     state = np.array([[0.5, 1.1], [1.2, 0.9]])

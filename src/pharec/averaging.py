@@ -150,7 +150,7 @@ def _blocks(vf, state, n: int, step: float):
         done += k
 
 
-def reduced_coordinates_batch(vf, cycle: LimitCycle, ics) -> list[ReducedSample]:
+def reduced_coordinates_batch(vf, cycle: LimitCycle, ics, probe=None) -> list[ReducedSample]:
     """Reduced coordinates for a batch of observable initial conditions.
 
     ``ics`` has shape (B, 2) with rows (theta0, r0).  They integrate in one
@@ -159,6 +159,11 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics) -> list[ReducedSample]
     floor.  The batch streams through time in blocks: the averages come from
     running cumulative sums of which only the last two periods are kept, so
     memory does not grow with the horizon.
+
+    ``probe``, a (k + 1, 2) float array whose row 0 is a start state, gets
+    rows 1..k filled with its RK4 run at the cycle step, with the bits of a
+    one-state run: one more batch column, which the averages never see,
+    continued alone past the batch horizon.
     """
     ics = np.atleast_2d(np.asarray(ics, dtype=float))
     lam = cycle.lam
@@ -175,8 +180,13 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics) -> list[ReducedSample]
     cum_amp, cum_z = np.zeros((1, b)), np.zeros((1, b + 1), dtype=complex)
     last = np.full(b, -1)
     amp_mean, z_mean, zr = np.zeros(b), np.zeros(b, complex), np.zeros(b, complex)
-    for lo, states in _blocks(vf, np.concatenate([[cycle.anchor], ics]), n, step):
+    start = [[cycle.anchor], ics] + ([] if probe is None else [probe[:1]])
+    for lo, states in _blocks(vf, np.concatenate(start), n, step):
         hi = lo + states.shape[0]
+        if probe is not None:
+            rows = probe[lo:hi]
+            rows[...] = states[:rows.shape[0], -1]
+            states = states[:, :-1]
         theta, r = states[..., 0], states[..., 1]
         if np.any(r[:, 1:] >= r_cap) or np.any(r[:, 1:] <= 0):
             raise BasinEscape("trajectory left the sandbox around the cycle")
@@ -211,6 +221,8 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics) -> list[ReducedSample]
         keep = 2 * STEPS_PER_PERIOD + 1
         cum_amp, cum_z = cum_amp[-keep:].copy(), cum_z[-keep:].copy()
 
+    if probe is not None and probe.shape[0] > n + 1:
+        probe[n:] = ode.integrate(vf, probe[n], (probe.shape[0] - 1 - n) * step, step).states
     sig = np.where(periods == 0, 0.0, amp_mean * sign)
     phi0 = np.mod(np.angle(z_mean) - np.angle(zr), 2.0 * np.pi)
     return [ReducedSample(theta0=float(ics[k, 0]), r0=float(ics[k, 1]),

@@ -37,12 +37,21 @@ def is_finite_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def finite_number(x, what: str, positive: bool = False) -> float:
+def finite_number(x, what: str, positive: bool = False, nonnegative: bool = False) -> float:
     """``x`` as a float; a ValueError naming ``what`` unless is_finite_number(x),
-    and x > 0 when ``positive``."""
-    if not is_finite_number(x) or (positive and x <= 0):
-        raise ValueError(f"{what} must be a finite{' positive' * positive} number, not {x!r}")
+    x > 0 when ``positive`` and x >= 0 when ``nonnegative``."""
+    if not is_finite_number(x) or (positive and x <= 0) or (nonnegative and x < 0):
+        sign = " positive" if positive else " non-negative" if nonnegative else ""
+        raise ValueError(f"{what} must be a finite{sign} number, not {x!r}")
     return float(x)
+
+
+def finite_pair(v, what: str) -> tuple[float, float]:
+    """``v`` as two floats; a ValueError naming ``what`` unless it is a list of
+    two finite numbers."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_finite_number, v))):
+        raise ValueError(f"{what} must be two finite numbers, not {v!r}")
+    return float(v[0]), float(v[1])
 
 
 @dataclass(frozen=True)
@@ -93,11 +102,12 @@ class LimitCycle:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LimitCycle":
+        theta0, r0 = finite_pair(d["anchor"], "anchor")
         return cls(period=finite_number(d["period"], "period", positive=True),
                    omega=finite_number(d["omega"], "omega", positive=True),
                    gamma=FittedSeries.from_dict(d["gamma"]),
-                   anchor=(d["anchor"][0], d["anchor"][1]),
-                   gamma_resid=d["gamma_resid"],
+                   anchor=(theta0, finite_number(r0, "anchor radius", positive=True)),
+                   gamma_resid=finite_number(d["gamma_resid"], "gamma_resid", nonnegative=True),
                    lam=finite_number(d["lam"], "lam"),
                    monodromy=None if d["monodromy"] is None else np.asarray(d["monodromy"]))
 

@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveRadius,
     UnknownKind,
 )
+from .limit_cycle import finite_pair, is_finite_number
 
 __all__ = [
     "ModelSpec",
@@ -177,8 +178,8 @@ def _field(kind: str, p: dict, u, v, drive=None):
     ``(u, v)`` is (theta, r) for polar kinds and (x, y) for Cartesian kinds;
     ``p`` maps parameter names to scalars or to arrays over oscillators, and
     ``drive=None`` means uncoupled: a polar kind then skips its drive terms (sin,
-    cos, division by r; the clock's constant θ-rate still takes ``v``'s shape),
-    whose zeros change no bit: x + (±0.0) = x for x ≠ 0, +0.0 + (±0.0) = +0.0.
+    cos, division by r; the clock's θ-rate is the scalar 1.0), whose zeros
+    change no bit: x + (±0.0) = x for x ≠ 0, +0.0 + (±0.0) = +0.0.
     Squares are written as products: NumPy scalars square through C ``pow``,
     arrays through ``x * x``, and the two can differ in the last bit.
 
@@ -188,12 +189,12 @@ def _field(kind: str, p: dict, u, v, drive=None):
     complex probe, whose unperturbed entries carry the real radius.
     """
     if kind in _POLAR_KINDS:
-        if (v <= 0).any():
+        if np.count_nonzero(v <= 0):
             raise NonPositiveRadius("polar model evaluated at r <= 0")
         if kind == RADIAL_ISOCHRON_CLOCK:
             du, dv = 1.0, p["a"] * v * (1.0 - v * v)
             if drive is None:
-                return np.full_like(v, du), dv
+                return du, dv
             return du + drive * np.cos(u) / v, dv + drive * np.sin(u)
         du, dv = 1.0 + p["alpha"] * p["a"] * (v * v), p["alpha"] * v * (1.0 - v * v)
         if drive is None:
@@ -262,9 +263,9 @@ def _planar_vf(field):
 
 
 def _stacked(state: np.ndarray, du, dv) -> np.ndarray:
-    """``np.stack((du, dv), axis=-1)`` of a float field at ``state``, in a fresh
-    float64 array on every call, since ``ode.rk4_step`` holds k1 to k4 at once.
-    The values are only copied, so the bits are ``np.stack``'s."""
+    """``np.stack((du, dv), axis=-1)`` of a float field at ``state`` (a scalar
+    component broadcast), in a fresh float64 array per call, since
+    ``ode.rk4_step`` holds k1 to k4 at once; the bits are ``np.stack``'s."""
     out = np.empty(state.shape)
     out[..., 0] = du
     out[..., 1] = dv
@@ -283,7 +284,9 @@ def _complex_step_jacobian(field):
     """
     def jac(state):
         probe = np.asarray(state, dtype=float) + _PROBES
-        return np.array(field(probe[:, 0], probe[:, 1])).imag / _COMPLEX_STEP
+        out = np.empty((2, 2), dtype=complex)
+        out[0], out[1] = field(probe[:, 0], probe[:, 1])
+        return out.imag / _COMPLEX_STEP
 
     return jac
 
@@ -307,8 +310,10 @@ class ObservableFrame:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservableFrame":
-        return cls(center=(d["center"][0], d["center"][1]),
-                   orientation=d["orientation"])
+        orientation = d["orientation"]
+        if not (is_finite_number(orientation) and abs(orientation) == 1):
+            raise ValueError(f"orientation must be 1 or -1, not {orientation!r}")
+        return cls(center=finite_pair(d["center"], "center"), orientation=float(orientation))
 
 
 def cart_to_polar(xy: np.ndarray, frame: ObservableFrame) -> np.ndarray:

@@ -20,7 +20,8 @@ from .basis import PairBasisSpec, SingleBasisSpec
 from .errors import InvalidConfig, NoAnalyticForm
 from .limit_cycle import (LimitCycle, find_limit_cycle, finite_number, floquet_from_monodromy,
                           is_finite_number)
-from .ode import integrate
+# perfbench/tracer.py patches ``integrate`` here by name, so it stays bound.
+from .ode import Trajectory, integrate  # noqa: F401
 from .transforms import TransformSet, _wrap
 
 __all__ = [
@@ -243,14 +244,15 @@ def stage_transforms(config: PipelineConfig) -> dict:
     for i, cycle in enumerate(cycles):
         ics = transforms.generate_ic_grid(cycle, config.ic_angles, config.ic_radii,
                                           config.radial_span)
-        samples = averaging.reduced_coordinates_batch(vfs[i], cycle, ics)
-        ts = transforms.fit_transform_set(samples, config.transform_spec)
-        # Independent slope route to the Floquet exponent, for the report.
+        # Independent slope route to the Floquet exponent, for the report:
+        # a probe run from 1.2 gamma(0), integrated as one more batch column.
         gamma0 = cycle.gamma_at(0.0)
-        probe = np.array([0.0, 1.2 * gamma0])
-        horizon = averaging._horizon_steps(cycle, cycle.lam,
-                                           float(abs(probe[1] - gamma0)))
-        traj = integrate(vfs[i], probe, horizon * cycle.step, cycle.step)
+        k = averaging._horizon_steps(cycle, cycle.lam, float(abs(1.2 * gamma0 - gamma0)))
+        probe = np.zeros((k + 1, 2))
+        probe[0, 1] = 1.2 * gamma0
+        samples = averaging.reduced_coordinates_batch(vfs[i], cycle, ics, probe)
+        ts = transforms.fit_transform_set(samples, config.transform_spec)
+        traj = Trajectory(np.arange(k + 1) * cycle.step, probe, cycle.step)
         dev = averaging.observable_deviation(traj, cycle)
         lam_slope = averaging.refine_lambda(dev, 0.0)
         oscillators.append({"transforms": ts.to_dict(),

@@ -16,7 +16,7 @@ from .averaging import ReducedSample
 from .basis import (FittedSeries, SingleBasisSpec, series_eval, series_eval_grad,
                     single_row)
 from .errors import InsufficientSamples
-from .limit_cycle import LimitCycle, is_finite_number
+from .limit_cycle import LimitCycle, finite_pair
 from .ridge import ridge_fit
 
 __all__ = [
@@ -83,10 +83,10 @@ class TransformSet:
 
 def _domain(d: dict, key: str) -> tuple[float, float]:
     """``d[key]`` as (lo, hi); it must be two finite numbers with lo <= hi."""
-    v = d[key]
-    if not (len(v) == 2 and all(map(is_finite_number, v)) and v[0] <= v[1]):
-        raise ValueError(f"{key} must be two finite numbers lo <= hi, not {v!r}")
-    return float(v[0]), float(v[1])
+    lo, hi = finite_pair(d[key], key)
+    if lo > hi:
+        raise ValueError(f"{key} must be two finite numbers lo <= hi, not {d[key]!r}")
+    return lo, hi
 
 
 def generate_ic_grid(cycle: LimitCycle, n_angles: int, n_radii: int,

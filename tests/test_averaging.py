@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pharec import averaging, basis, limit_cycle, models, ode
+from pharec import averaging, basis, limit_cycle, models, ode, pipeline, transforms
 from pharec.errors import BasinEscape, TooShort
 
 
@@ -203,3 +203,38 @@ def test_block_size_leaves_the_samples_unchanged(batch, monkeypatch):
     want = samples(2 * limit_cycle.STEPS_PER_PERIOD)
     for block in (default, odd, n - 1):
         assert samples(block) == want
+
+
+@pytest.mark.parametrize("kind, span", [
+    ("radial_isochron_clock", (0.8, 1.25)),
+    ("canonical", (0.8, 1.25)),
+    ("van_der_pol", (0.8, 1.25)),
+    ("wilson_cowan", (0.8, 1.25)),
+    # The probe's horizon outlasts this narrow grid's, so its last rows come
+    # from a one-state run continued after the batch.
+    ("van_der_pol", (0.9, 1.1)),
+])
+def test_probe_column_keeps_the_samples_and_a_one_state_run(pipeline_runs, kind, span):
+    """A slope probe riding in the batch leaves every sample's bytes as they
+    are without it, and its rows are, bit for bit, the states of the probe
+    integrated on its own, as stage_transforms builds it."""
+    config = pipeline_runs[kind].config
+    frames, cycles = pipeline._load(config, "limit_cycle")
+    cycle, vf = cycles[0], pipeline._oscillator_fields(config, frames)[0]
+    ics = transforms.generate_ic_grid(cycle, 5, 3, span)
+    gamma0 = cycle.gamma_at(0.0)
+    k = averaging._horizon_steps(cycle, cycle.lam, float(abs(1.2 * gamma0 - gamma0)))
+    n = averaging._horizon_steps(
+        cycle, cycle.lam, float(np.max(np.abs(ics[:, 1] - cycle.gamma_at(ics[:, 0])))))
+    assert (k > n) == (span == (0.9, 1.1))
+    probe = np.zeros((k + 1, 2))
+    probe[0, 1] = 1.2 * gamma0
+
+    def sample_bytes(samples):
+        return np.array([(s.theta0, s.r0, s.phi0, s.sigma0) for s in samples]).tobytes()
+
+    with_probe = averaging.reduced_coordinates_batch(vf, cycle, ics, probe)
+    assert sample_bytes(with_probe) == sample_bytes(
+        averaging.reduced_coordinates_batch(vf, cycle, ics))
+    alone = ode.integrate(vf, probe[0], k * cycle.step, cycle.step).states
+    assert probe.tobytes() == alone.tobytes()

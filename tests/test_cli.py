@@ -330,6 +330,20 @@ def test_oscillator_count_must_match_the_model(pipeline_runs, tmp_path, capsys,
     pytest.param("limit_cycle.json", "cycle", "period", -6.283, id="period-negative"),
     pytest.param("limit_cycle.json", "cycle", "omega", float("inf"), id="omega-inf"),
     pytest.param("limit_cycle.json", "cycle", "omega", False, id="omega-bool"),
+    pytest.param("limit_cycle.json", "cycle", "gamma_resid", None, id="gamma_resid-null"),
+    pytest.param("limit_cycle.json", "cycle", "gamma_resid", float("nan"), id="gamma_resid-nan"),
+    pytest.param("limit_cycle.json", "cycle", "gamma_resid", -1e-9, id="gamma_resid-negative"),
+    pytest.param("limit_cycle.json", "cycle", "anchor", [0.0, "x"], id="anchor-string"),
+    pytest.param("limit_cycle.json", "cycle", "anchor", [0.0, None], id="anchor-null"),
+    pytest.param("limit_cycle.json", "cycle", "anchor", [0.0, float("nan")], id="anchor-nan"),
+    pytest.param("limit_cycle.json", "cycle", "anchor", [0.0, -1.0], id="anchor-negative"),
+    pytest.param("limit_cycle.json", "cycle", "anchor", [0.0], id="anchor-one"),
+    pytest.param("limit_cycle.json", "frame", "orientation", "x", id="orientation-string"),
+    pytest.param("limit_cycle.json", "frame", "orientation", None, id="orientation-null"),
+    pytest.param("limit_cycle.json", "frame", "orientation", 0.0, id="orientation-zero"),
+    pytest.param("limit_cycle.json", "frame", "orientation", True, id="orientation-bool"),
+    pytest.param("limit_cycle.json", "frame", "center", [0.0, float("inf")], id="center-inf"),
+    pytest.param("limit_cycle.json", "frame", "center", "xy", id="center-string"),
     pytest.param("transforms.json", "transforms", "sigma_domain", [0.1], id="sigma_domain-one"),
     pytest.param("transforms.json", None, "lambda_slope", "nan", id="lambda_slope-string"),
     pytest.param("transforms.json", None, "lambda_slope", float("nan"), id="lambda_slope-nan"),
@@ -340,11 +354,13 @@ def test_oscillator_count_must_match_the_model(pipeline_runs, tmp_path, capsys,
 ])
 def test_cycle_without_a_finite_lam_is_usage_error(pipeline_runs, tmp_path, capsys,
                                                    name, part, key, value):
-    """A cycle's period and omega must be finite positive numbers and its lam
-    a finite number; each transform domain must be two finite numbers
-    lo <= hi, and each lambda_slope a finite number. Otherwise
-    reduce-coupling exits 2 with one stderr line naming the file and the
-    key, and writes no reduced_coupling.json."""
+    """A cycle's period and omega must be finite positive numbers, its lam a
+    finite number, its gamma_resid a finite number >= 0 and its anchor two
+    finite numbers with a positive radius; a frame's center must be two
+    finite numbers and its orientation 1 or -1; each transform domain must be
+    two finite numbers lo <= hi, and each lambda_slope a finite number.
+    Otherwise reduce-coupling exits 2 with one stderr line naming the file
+    and the key, and writes no reduced_coupling.json."""
     _copy_run(pipeline_runs["canonical"], tmp_path, _ARTIFACTS)
     doc = json.loads((tmp_path / name).read_text())
     entry = doc["oscillators"][0]

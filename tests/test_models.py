@@ -48,7 +48,8 @@ def test_canonical_uncoupled_field():
 
 
 def test_polar_kind_rejects_nonpositive_radius():
-    """Every field and Jacobian of a polar kind checks the radius, coupled or not."""
+    """Every field and Jacobian of a polar kind checks the radius, coupled or
+    not, and an uncoupled batch fails on one bad radius, NaN radii or not."""
     for kind in ("radial_isochron_clock", "canonical"):
         spec = models.default_spec(kind)
         for r in (0.0, -0.0, -0.1, -0.3):
@@ -60,6 +61,12 @@ def test_polar_kind_rejects_nonpositive_radius():
                            models.polar_uncoupled_jacobian(spec, i, models.ObservableFrame())):
                     with pytest.raises(NonPositiveRadius):
                         fn(np.array([0.4, r]))
+                # Uncoupled batches with one bad radius, beside a NaN one too.
+                for fn in (models.uncoupled_vf(spec, i), models.polar_uncoupled_vf(spec, i)):
+                    for batch in ([[0.4, 1.0], [1.1, r], [2.0, 0.9]],
+                                  [[0.4, np.nan], [1.1, 1.0], [2.0, r]]):
+                        with pytest.raises(NonPositiveRadius):
+                            fn(np.array(batch))
 
 
 def test_polar_jacobian_rejects_nonpositive_radius():
@@ -167,7 +174,8 @@ def _network_signal(spec, states):
 
 def test_field_outputs_are_fresh_stacks_of_the_formula():
     """Every field factory returns, bit for bit, ``np.stack`` of the formula's
-    two components, in a new float64 array of the state's shape per call."""
+    two components (broadcast: the clock's uncoupled θ-rate is a scalar), in a
+    new float64 array of the state's shape per call."""
     rng = np.random.default_rng(4)
     for kind in KINDS:
         spec = models.default_spec(kind)
@@ -200,7 +208,8 @@ def test_field_outputs_are_fresh_stacks_of_the_formula():
         for vf, components, state in cases:
             out = vf(state)
             assert out.dtype == np.float64 and out.shape == state.shape
-            assert np.array_equal(out, np.stack(components(state), axis=-1))
+            assert np.array_equal(out, np.stack(np.broadcast_arrays(*components(state)),
+                                                axis=-1))
             assert not np.shares_memory(out, vf(state))
 
 

@@ -59,6 +59,11 @@ def test_nonfinite_state_raises():
     assert np.isfinite(ode.integrate(blowup, np.array([5.0, 5.0]), 0.4, 0.1).states).all()
     with pytest.raises(NonFiniteState, match=r"^non-finite state at t=0\.5$"):
         ode.integrate(blowup, np.array([5.0, 5.0]), 10.0, 0.1)
+    # In a batch, one column (or one entry) going non-finite is enough; the
+    # others stay finite long after t = 0.5.
+    for batch in ([[0.1, 0.1], [5.0, 5.0], [0.2, 0.1]], [[0.1, 0.1], [0.1, 5.0]]):
+        with pytest.raises(NonFiniteState, match=r"^non-finite state at t=0\.5$"):
+            ode.integrate(blowup, np.array(batch), 10.0, 0.1)
 
 
 def test_tangent_integration_matches_matrix_exponential():

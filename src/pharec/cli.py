@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import pipeline, serialize, signal_extract
+from . import pipeline, serialize
 from .errors import InvalidConfig, IoError, NonUniformSampling, PharecError
 
 EXIT_PASS = 0
@@ -77,6 +77,9 @@ def load_config(args) -> pipeline.PipelineConfig:
 
 
 def run_extract(args) -> int:
+    # Imported here, so that only extract loads scipy.signal.
+    from . import signal_extract
+
     data = serialize.read_rows(args.input)
     if data.ndim != 2 or data.shape[0] < 2:
         raise IoError(f"{args.input}: need t,value columns and at least two rows")

@@ -8,12 +8,12 @@ passages of theta through multiples of 2*pi.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ode
 from .basis import FittedSeries, SingleBasisSpec, row_slices, single_row
@@ -29,6 +29,9 @@ STEPS_PER_PERIOD = 2000
 DEFAULT_N_G = 8
 # Points per gamma evaluation slice; a multiple of 4 (see LimitCycle.gamma_at).
 _GAMMA_SLICE = 4096
+# Relative tolerance and iteration budget of _brentq: scipy.optimize.brentq's defaults.
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_ITER = 100
 
 
 def is_finite_number(x) -> bool:
@@ -52,6 +55,59 @@ def finite_pair(v, what: str) -> tuple[float, float]:
     if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_finite_number, v))):
         raise ValueError(f"{what} must be two finite numbers, not {v!r}")
     return float(v[0]), float(v[1])
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's C ``brentq`` (``Zeros/brentq.c``) at
+    rtol = _BRENT_RTOL and _BRENT_ITER iterations, so it takes the same
+    iterates and returns the same bits.  NoConvergence when f(a) and f(b)
+    have the same sign, when f returns NaN, or when the budget runs out.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NoConvergence(f"root bracket function is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoConvergence(f"no sign change of the root bracket over [{a!r}, {b!r}]")
+    for _ in range(_BRENT_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NoConvergence(f"Brent's method did not converge in {_BRENT_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -159,7 +215,7 @@ def find_limit_cycle(vf, seed_state, n_gamma: int = DEFAULT_N_G) -> LimitCycle:
             def excess(h):
                 return ode.rk4_step(vf, base, h)[0] - target
 
-            h = brentq(excess, 0.0, step, xtol=1e-14)
+            h = _brentq(excess, 0.0, step, 1e-14)
             cross_state = ode.rk4_step(vf, base, h)
             t_cross = t_now + h
             if vf(cross_state)[0] > 0:

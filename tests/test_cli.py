@@ -1,11 +1,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from pharec import cli
+from pharec import cli, limit_cycle, pipeline
 
 
 def test_missing_config_is_usage_error(capsys):
@@ -216,6 +218,50 @@ def test_extract_subcommand(tmp_path):
     assert data.shape[1] == 4
     good = data[:, 3] == 0
     np.testing.assert_allclose(data[good, 2], 1.0, rtol=0.01)
+
+
+IMPORT_GRAPH = """
+import sys
+import numpy as np
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.signal") if m in sys.modules]
+
+import pharec.pipeline
+print(loaded())
+from pharec import cli
+print(loaded())
+t = np.arange(0.0, 20.0, 0.01)
+np.savetxt(sys.argv[1], np.stack([t, np.sin(2.0 * np.pi * t)], axis=1),
+           delimiter=",", header="t,value", comments="")
+print(cli.main(["extract", sys.argv[1], "--out", sys.argv[2]]), "scipy.signal" in sys.modules)
+"""
+
+
+def test_only_extract_loads_scipy_signal(tmp_path):
+    """A fresh process that imports the pipeline or the CLI loads neither
+    scipy.optimize nor scipy.signal; extract loads scipy.signal and runs."""
+    import pharec
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pharec.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, str(tmp_path / "signal.csv"),
+         str(tmp_path / "phases.csv")], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]", "0 True"]
+    assert (tmp_path / "phases.csv").exists()
+
+
+def test_unconverged_poincare_crossing_is_numerical_error(tmp_path, capsys, monkeypatch):
+    """A Brent step that spends its iterations without converging exits 3
+    with one stderr line, not 1 with a traceback."""
+    pipeline.write_config(pipeline.default_config("radial_isochron_clock", str(tmp_path)))
+    monkeypatch.setattr(limit_cycle, "_BRENT_ITER", 1)
+    assert cli.main(["limit-cycle", "--from", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("pharec: NoConvergence: Brent's method")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "limit_cycle.json").exists()
 
 
 def test_stage_rerun_is_bitwise_stable(pipeline_runs):

@@ -1,12 +1,15 @@
+import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pharec import limit_cycle, models
-from pharec.errors import ComplexMultiplier
+from pharec.errors import ComplexMultiplier, NoConvergence, PharecError
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +116,91 @@ def test_gamma_slices_keep_one_shot_bits():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+SMOOTH = {
+    "quadratic": lambda x: x * x - 2.0,
+    "cubic": lambda x: x ** 3 - x - 1.0,
+    "sine": lambda x: math.sin(3.0 * x) - 0.3,
+    "exp": lambda x: math.exp(x) - 3.0,
+    "cos_minus_x": lambda x: math.cos(x) - x,
+    "flat_fifth_power": lambda x: (x - 0.7) ** 5,
+    "steep_tanh": lambda x: math.tanh(50.0 * (x - 0.1234567)),
+}
+PORT = limit_cycle._brentq
+
+
+def _same_outcome(f, a, b, xtol):
+    """The port returns scipy's root bit for bit, or raises NoConvergence
+    where scipy raises."""
+    try:
+        want = brentq(f, a, b, xtol=xtol)
+    except (ValueError, RuntimeError):
+        with pytest.raises(NoConvergence):
+            PORT(f, a, b, xtol)
+        return False
+    got = PORT(f, a, b, xtol)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, b, xtol)
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH))
+def test_brentq_matches_scipy_bit_for_bit(name):
+    """On a grid of brackets, either end first, and four tolerances the port
+    takes scipy's iterates: the same root bits, and an error where scipy has
+    one (brackets without a sign change).  The coarse 0.3 reaches the
+    ``- delta`` of the short-step test."""
+    ends = np.linspace(-2.5, 3.0, 12)
+    found = 0
+    for a in ends:
+        for b in ends:
+            if a != b:
+                for xtol in (1e-14, 2e-12, 1e-6, 0.3):
+                    found += _same_outcome(SMOOTH[name], float(a), float(b), xtol)
+    assert found > 0
+
+
+@pytest.mark.parametrize("kind", ["radial_isochron_clock", "canonical"])
+def test_poincare_crossings_match_scipy_brentq(kind, monkeypatch):
+    """Every [0, step] RK4 crossing that find_limit_cycle solves gives the
+    same root with the port as with scipy.optimize.brentq, and the cycle
+    found with scipy's routine is the same to the last bit."""
+    spec = models.default_spec(kind)
+    vf = models.uncoupled_vf(spec, 0)
+    seed = np.array([0.3, 1.4])
+    crossings = []
+
+    def checked(f, a, b, xtol):
+        crossings.append(_same_outcome(f, a, b, xtol))
+        return PORT(f, a, b, xtol)
+
+    monkeypatch.setattr(limit_cycle, "_brentq", checked)
+    cycle = limit_cycle.find_limit_cycle(vf, seed)
+    assert len(crossings) >= 2 and all(crossings)
+    monkeypatch.setattr(limit_cycle, "_brentq",
+                        lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol))
+    again = limit_cycle.find_limit_cycle(vf, seed)
+    assert json.dumps(again.to_dict()) == json.dumps(cycle.to_dict())
+
+
+def test_brentq_failures_raise_no_convergence():
+    """A bracket without a sign change, a NaN value and a budget of
+    iterations spent without convergence raise NoConvergence, a PharecError,
+    where scipy raises ValueError or RuntimeError."""
+    def step(x):
+        return -1.0 if x < 0.123 else 1.0
+
+    cases = [
+        (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),   # no sign change
+        (lambda x: math.nan, 0.0, 1.0, ValueError),       # NaN at an end
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0,
+         ValueError),                                      # NaN mid-search
+        (step, -1e300, 1e300, RuntimeError),              # > 100 bisections
+    ]
+    for f, a, b, scipy_error in cases:
+        with pytest.raises(scipy_error):
+            brentq(f, a, b, xtol=1e-14)
+        with pytest.raises(NoConvergence):
+            PORT(f, a, b, 1e-14)
+    assert issubclass(NoConvergence, PharecError)

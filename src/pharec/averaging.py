@@ -119,22 +119,40 @@ def _horizon_steps(cycle: LimitCycle, lam: float, rho_max: float) -> int:
     return int(round(duration / cycle.step))
 
 
-def _window_means(cum: np.ndarray, base: int, i1, i2, cols) -> np.ndarray:
-    """Means over the inclusive windows [i1, i2] of columns ``cols``, from
-    zero-padded cumulative sums whose row 0 is padded index ``base``."""
-    return (cum[i2 + 1 - base, cols] - cum[i1 - base, cols]) / (i2 - i1 + 1)
+class _CumSums:
+    """Zero-padded cumulative sums down axis 0 of a stream of row blocks, kept
+    in a ring: padded index j, the sum of stream rows 0..j-1, sits in ring row
+    j % rows.  It holds what a window of up to two periods ending in the
+    latest block needs: two periods and one row before that block, and the
+    block.  (The first block is one row longer, but its windows start at
+    row 0 or later.)
 
-
-def _extend(cum: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Kept cumulative-sum rows followed by their continuation over ``block``.
-
-    np.cumsum runs sequentially down axis 0, so continuing it from the last
-    kept row gives the bits of one cumulative sum over the whole horizon.
+    np.cumsum runs sequentially down axis 0, so continuing it in place from
+    the row before each piece gives the bits of one cumulative sum over the
+    whole stream.
     """
-    out = np.concatenate([cum, block])
-    tail = out[cum.shape[0] - 1:]
-    np.cumsum(tail, axis=0, out=tail)
-    return out
+
+    def __init__(self, width: int, dtype=float):
+        self.sums = np.zeros((2 * STEPS_PER_PERIOD + 1 + _BLOCK_STEPS, width), dtype)
+        self.end = 0                # padded index of the latest sum
+
+    def extend(self, block: np.ndarray):
+        """Append ``block``, which must be shorter than the ring."""
+        done = 0
+        while done < block.shape[0]:
+            at = (self.end + 1) % self.sums.shape[0]
+            piece = self.sums[at:at + block.shape[0] - done]
+            piece[...] = block[done:done + piece.shape[0]]
+            piece[0] += self.sums[at - 1]
+            np.cumsum(piece, axis=0, out=piece)
+            done += piece.shape[0]
+            self.end += piece.shape[0]
+
+    def means(self, i1, i2, cols) -> np.ndarray:
+        """Means of columns ``cols`` over the inclusive stream windows [i1, i2],
+        whose sums must still be in the ring."""
+        rows = self.sums.shape[0]
+        return (self.sums[(i2 + 1) % rows, cols] - self.sums[i1 % rows, cols]) / (i2 - i1 + 1)
 
 
 def _blocks(vf, state, n: int, step: float):
@@ -157,7 +175,7 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics, probe=None) -> list[Re
     lockstep batch, behind a reference run from the cycle anchor in column 0,
     over a shared horizon chosen so every deviation decays to the precision
     floor.  The batch streams through time in blocks: the averages come from
-    running cumulative sums of which only the last two periods are kept, so
+    running cumulative sums kept in a ring of two periods and one block, so
     memory does not grow with the horizon.
 
     ``probe``, a (k + 1, 2) float array whose row 0 is a start state, gets
@@ -175,9 +193,9 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics, probe=None) -> list[Re
     r_cap = 10.0 * float(np.max(cycle.gamma_at(np.linspace(0, 2 * np.pi, 256))))
     b = ics.shape[0]
 
-    # Zero-padded cumulative sums of |rho| e^{-lambda t} (initial conditions)
-    # and of z (reference run first): the last two periods, then the block.
-    cum_amp, cum_z = np.zeros((1, b)), np.zeros((1, b + 1), dtype=complex)
+    # Cumulative sums of |rho| e^{-lambda t} (initial conditions) and of z
+    # (reference run first).
+    cum_amp, cum_z = _CumSums(b), _CumSums(b + 1, complex)
     last = np.full(b, -1)
     amp_mean, z_mean, zr = np.zeros(b), np.zeros(b, complex), np.zeros(b, complex)
     start = [[cycle.anchor], ics] + ([] if probe is None else [probe[:1]])
@@ -205,9 +223,8 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics, probe=None) -> list[Re
         # leaves an O(rho(t1)) phase bias that breaks flow equivariance, so it
         # is subtracted exactly.
         z = 0.5 * r * np.exp(1j * theta) * np.exp(-1j * cycle.omega * times)[:, None]
-        base = lo + 1 - cum_z.shape[0]
-        cum_amp = _extend(cum_amp, rho * np.exp(-lam * times)[:, None])
-        cum_z = _extend(cum_z, z)
+        cum_amp.extend(rho * np.exp(-lam * times)[:, None])
+        cum_z.extend(z)
         del rho, z
 
         # Windows ending in this block are final unless a later block finds
@@ -215,11 +232,9 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics, probe=None) -> list[Re
         i1, i2, periods = _trusted_window(last, n, STEPS_PER_PERIOD)
         done = np.flatnonzero((i2 >= lo) & (i2 < hi))
         w1, w2 = i1[done], i2[done]
-        amp_mean[done] = _window_means(cum_amp, base, w1, w2, done)
-        z_mean[done] = _window_means(cum_z, base, w1, w2, done + 1)
-        zr[done] = _window_means(cum_z, base, w1, w2, 0)
-        keep = 2 * STEPS_PER_PERIOD + 1
-        cum_amp, cum_z = cum_amp[-keep:].copy(), cum_z[-keep:].copy()
+        amp_mean[done] = cum_amp.means(w1, w2, done)
+        z_mean[done] = cum_z.means(w1, w2, done + 1)
+        zr[done] = cum_z.means(w1, w2, 0)
 
     if probe is not None and probe.shape[0] > n + 1:
         probe[n:] = ode.integrate(vf, probe[n], (probe.shape[0] - 1 - n) * step, step).states

@@ -214,9 +214,18 @@ def network_vf(spec: ModelSpec):
     kinds.  Oscillator i receives ``sum_j coupling[i, j] * s_j``, where the
     signal s_j is r sin(theta) (radial isochron clock), r cos(theta)
     (canonical), x (van der Pol) or x minus its equilibrium (Wilson-Cowan).
+    An all-zero coupling matrix computes no signal and passes no drive, which
+    changes no bit (see ``_field``) except at the exact van der Pol origin, an
+    equilibrium, where a -0.0 component may come out +0.0.
     """
     kind, eps = spec.kind, spec.coupling
     p = {k: np.asarray(v) for k, v in spec.params.items()}
+    if not eps.any():
+        def uncoupled(states):
+            states = np.asarray(states, dtype=float)
+            return _stacked(states, *_field(kind, p, states[..., 0], states[..., 1]))
+
+        return uncoupled
     if kind == WILSON_COWAN:
         x0 = np.asarray([wc_equilibrium(spec, i)
                          for i in range(spec.n_oscillators)])[:, 0]
@@ -255,8 +264,16 @@ def _uncoupled_field(spec: ModelSpec, i: int):
 
 
 def _planar_vf(field):
+    """``field`` as a vector field over states ``(..., 2)``.  One state goes
+    through ``field`` as two Python floats, which skips the fixed cost of 0-d
+    array operations and gives their bits (IEEE arithmetic, the same NumPy
+    loops for ``cos``/``sin``/``exp``), but overflows without a warning."""
     def vf(state):
         state = np.asarray(state, dtype=float)
+        if state.ndim == 1:
+            out = np.empty(2)
+            out[0], out[1] = field(*state.tolist())
+            return out
         return _stacked(state, *field(state[..., 0], state[..., 1]))
 
     return vf

@@ -176,6 +176,34 @@ def test_streaming_batch_equals_whole_horizon_average(a, monkeypatch):
         assert set(periods) == {0, 1}
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cumulative_sum_ring_keeps_one_cumsums_bits(dtype):
+    """Blocks streamed as the batch streams them (the first one row longer, a
+    short last one) wrap the ring twice, once at a block boundary and once
+    inside a block.  After each block, every window of up to two periods
+    that ends in it gives the mean bytes of one np.cumsum over the
+    zero-padded whole stream."""
+    period, block, width = limit_cycle.STEPS_PER_PERIOD, averaging._BLOCK_STEPS, 2
+    ring = averaging._CumSums(width, dtype)
+    sizes = [block + 1] + [block] * 10 + [37]
+    assert sum(sizes) > 2 * ring.sums.shape[0]
+    rng = np.random.default_rng(5)
+    whole = rng.standard_normal((sum(sizes), width)).astype(dtype)
+    if dtype is complex:
+        whole += 1j * rng.standard_normal(whole.shape)
+    padded = np.concatenate([np.zeros((1, width), dtype), np.cumsum(whole, axis=0)])
+    cols = np.arange(width)
+    lo = 0
+    for size in sizes:
+        ring.extend(whole[lo:lo + size])
+        i2 = np.arange(lo, lo + size)[:, None, None]
+        for spans in np.array_split(np.arange(2 * period + 1), 8):
+            i1 = np.maximum(i2 - spans[:, None], 0)
+            want = (padded[i2 + 1, cols] - padded[i1, cols]) / (i2 - i1 + 1)
+            assert ring.means(i1, i2, cols).tobytes() == want.tobytes()
+        lo += size
+
+
 @pytest.mark.parametrize("batch", [slice(None), slice(4, 5)])
 def test_block_size_leaves_the_samples_unchanged(batch, monkeypatch):
     """The seven-IC batch and one of its initial conditions on its own give

@@ -1,8 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pharec import models
-from pharec.errors import NoAnalyticForm, NonPositiveRadius, UnknownKind
+from pharec import models, ode
+from pharec.errors import NoAnalyticForm, NonFiniteState, NonPositiveRadius, UnknownKind
 
 KINDS = ("radial_isochron_clock", "canonical", "van_der_pol", "wilson_cowan")
 
@@ -69,6 +72,28 @@ def test_polar_kind_rejects_nonpositive_radius():
                             fn(np.array(batch))
 
 
+def test_single_state_fails_like_its_row():
+    """A single state, evaluated on Python floats, stops an RK4 run with the
+    error, at the time, of the same state as a (1, 2) row: a van der Pol state
+    whose stiff steps overflow, and a clock state whose radius overshoots
+    below zero.  The field's own float overflow raises no RuntimeWarning."""
+    vdp = models.uncoupled_vf(models.default_spec("van_der_pol"), 0)
+    clock = models.uncoupled_vf(models.default_spec("radial_isochron_clock"), 0)
+    for vf, state, error, message in (
+            (vdp, [20.0, 0.0], NonFiniteState, "non-finite state at t=0.4"),
+            (clock, [0.3, 10.0], NonPositiveRadius, "polar model evaluated at r <= 0")):
+        for start in (np.array(state), np.array([state])):
+            with np.errstate(all="ignore"), pytest.raises(error) as info:
+                ode.integrate(vf, start, 100.0, 0.1)
+            assert str(info.value) == message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = vdp(np.array([1e200, 1e200]))
+    assert out.tolist() == [1e200, -np.inf]
+    with pytest.warns(RuntimeWarning):
+        assert vdp(np.array([[1e200, 1e200]])).tolist() == [[1e200, -np.inf]]
+
+
 def test_polar_jacobian_rejects_nonpositive_radius():
     for kind in ("radial_isochron_clock", "canonical"):
         spec = models.default_spec(kind)
@@ -106,7 +131,7 @@ def test_one_formula_behind_every_field():
         for i in range(2):
             assert np.array_equal(net[:, i], models.uncoupled_vf(spec, i)(states[:, i]))
         if kind in ("van_der_pol", "wilson_cowan"):
-            # Single (2,) states take NumPy's scalar arithmetic, batches its
+            # Single (2,) states take Python float arithmetic, batches NumPy's
             # array arithmetic; both must give the same bits.  A scalar
             # ``x ** 2`` misses ``x * x`` about once in 1,200 draws, hence
             # thousands of states.
@@ -169,13 +194,25 @@ def _network_signal(spec, states):
         return v * np.cos(u)
     if spec.kind == "van_der_pol":
         return u
-    return u - np.array([models.wc_equilibrium(spec, i)[0] for i in range(2)])
+    return u - np.array([models.wc_equilibrium(spec, i)[0]
+                         for i in range(spec.n_oscillators)])
+
+
+def _zero_coupled_formula(spec, states):
+    """The coupled formula of ``network_vf`` under an all-zero coupling matrix."""
+    spec = replace(spec, coupling=np.zeros_like(spec.coupling))
+    p = {k: np.asarray(v) for k, v in spec.params.items()}
+    return models._field(spec.kind, p, states[..., 0], states[..., 1],
+                         _network_signal(spec, states) @ spec.coupling.T)
 
 
 def test_field_outputs_are_fresh_stacks_of_the_formula():
     """Every field factory returns, bit for bit, ``np.stack`` of the formula's
     two components (broadcast: the clock's uncoupled θ-rate is a scalar), in a
-    new float64 array of the state's shape per call."""
+    new float64 array of the state's shape per call.  A zero-coupling network,
+    which passes no drive, gives the coupled formula's bits under a zero
+    coupling matrix; its (2,) case is a one-oscillator network, whose formula
+    runs on the same state as a (1, 2) row."""
     rng = np.random.default_rng(4)
     for kind in KINDS:
         spec = models.default_spec(kind)
@@ -197,6 +234,13 @@ def test_field_outputs_are_fresh_stacks_of_the_formula():
                   lambda s: models._field(kind, p, s[..., 0], s[..., 1],
                                           _network_signal(spec, s) @ spec.coupling.T),
                   native_states(shape, centers)) for shape in ((2,), (7, 2))]
+        solo = models.ModelSpec(kind, {k: v[:1] for k, v in spec.params.items()}, [[0.0]])
+        cases += [(models.network_vf(solo),
+                   lambda s, solo=solo: _zero_coupled_formula(solo, s.reshape(1, 2)),
+                   native_states((), centers[0]))]
+        cases += [(models.network_vf(replace(spec, coupling=np.zeros((2, 2)))),
+                   lambda s: _zero_coupled_formula(spec, s),
+                   native_states(shape, centers)) for shape in ((2,), (7, 2))]
         for i in range(2):
             for vf, field, states in (
                     (models.uncoupled_vf(spec, i), models._uncoupled_field(spec, i),
@@ -208,8 +252,8 @@ def test_field_outputs_are_fresh_stacks_of_the_formula():
         for vf, components, state in cases:
             out = vf(state)
             assert out.dtype == np.float64 and out.shape == state.shape
-            assert np.array_equal(out, np.stack(np.broadcast_arrays(*components(state)),
-                                                axis=-1))
+            want = np.stack(np.broadcast_arrays(*components(state)), axis=-1)
+            assert np.array_equal(out, want.reshape(state.shape))
             assert not np.shares_memory(out, vf(state))
 
 

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from pharec import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -23,3 +25,16 @@ def test_each_stage_runs_in_a_fresh_process_and_writes_only_under_work_dir(tmp_p
         assert int(code) in ((0, 1) if name == "compare" else (0,))
     assert os.listdir(tmp_path) == ["run"]
     assert {"config.json", "network_vf.json", "report.json"} <= set(os.listdir(work))
+
+
+@pytest.mark.parametrize("args", [
+    ["stage_peaks.py", "canonical", "run", "--seed", "-1"],
+    ["stage_peaks.py", "canonical", "run", "--trials", "0"],
+    ["artifact_digests.py", "run", "--seed", "-1"],
+])
+def test_invalid_config_is_a_usage_error_that_writes_nothing(tmp_path, args):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", args[0]), *args[1:]],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []

@@ -29,6 +29,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 from workloads import WORKLOADS  # noqa: E402
 
 from pharec import pipeline  # noqa: E402
+from pharec.errors import InvalidConfig  # noqa: E402
 
 
 def _digest_dir(digests: dict, name: str, out_dir: str):
@@ -45,6 +46,12 @@ def main(argv=None) -> int:
     p.add_argument("work_dir")
     p.add_argument("--seed", type=int, default=42)
     args = p.parse_args(argv)
+    try:        # the configs check the seed before anything is written
+        configs = {f"pipeline_{kind}": pipeline.default_config(
+            kind, os.path.join(args.work_dir, f"pipeline_{kind}"), seed=args.seed)
+            for kind in pipeline.KIND_DEFAULTS}
+    except InvalidConfig as exc:
+        p.error(str(exc))
     os.makedirs(args.work_dir)
     digests = {}
     for name, wl in WORKLOADS.items():
@@ -58,10 +65,7 @@ def main(argv=None) -> int:
         if failing or sorted(r["name"] for r in rows) != sorted(expected):
             raise SystemExit(f"{name}: report rows differ or fail: {failing}")
         _digest_dir(digests, name, state.out_dir)
-    for kind in pipeline.KIND_DEFAULTS:
-        name = f"pipeline_{kind}"
-        config = pipeline.default_config(kind, os.path.join(args.work_dir, name),
-                                         seed=args.seed)
+    for name, config in configs.items():
         report = pipeline.run_pipeline(config)
         failing = [r["name"] for r in report["rows"] if not r["pass"]]
         if failing:

@@ -54,13 +54,13 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, help="n_trials (default: the model's)")
     args = p.parse_args(argv)
-    config = pipeline.default_config(args.kind, os.path.abspath(args.work_dir),
-                                     seed=args.seed)
-    if args.trials is not None:
-        try:
+    try:
+        config = pipeline.default_config(args.kind, os.path.abspath(args.work_dir),
+                                         seed=args.seed)
+        if args.trials is not None:
             config = dataclasses.replace(config, n_trials=args.trials)
-        except InvalidConfig as exc:
-            p.error(str(exc))
+    except InvalidConfig as exc:
+        p.error(str(exc))
     pipeline.write_config(config)
     print(f"{'stage':<16} {'peak_MB':>8} {'wall_s':>7}  exit")
     runs = [("(import)", ["-c", "import pharec.cli"])] + [

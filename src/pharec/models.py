@@ -18,6 +18,7 @@ from .errors import (
     NoAnalyticForm,
     NoConvergence,
     NonPositiveRadius,
+    ShapeMismatch,
     UnknownKind,
 )
 from .limit_cycle import finite_pair, is_finite_number
@@ -216,7 +217,9 @@ def network_vf(spec: ModelSpec):
     (canonical), x (van der Pol) or x minus its equilibrium (Wilson-Cowan).
     An all-zero coupling matrix computes no signal and passes no drive, which
     changes no bit (see ``_field``) except at the exact van der Pol origin, an
-    equilibrium, where a -0.0 component may come out +0.0.
+    equilibrium, where a -0.0 component may come out +0.0.  Only the coupled
+    form checks the state's shape (ShapeMismatch), so the zero-coupling
+    settle of ``estimate_frame`` pays nothing for it.
     """
     kind, eps = spec.kind, spec.coupling
     p = {k: np.asarray(v) for k, v in spec.params.items()}
@@ -230,8 +233,13 @@ def network_vf(spec: ModelSpec):
         x0 = np.asarray([wc_equilibrium(spec, i)
                          for i in range(spec.n_oscillators)])[:, 0]
 
+    shape = (spec.n_oscillators, 2)
+
     def vf(states):
         states = np.asarray(states, dtype=float)
+        if states.shape[-2:] != shape:
+            raise ShapeMismatch(f"network states must have shape (..., {shape[0]}, 2), "
+                                f"got {states.shape}")
         u, v = states[..., 0], states[..., 1]
         if kind == RADIAL_ISOCHRON_CLOCK:
             signal = v * np.sin(u)

@@ -1,9 +1,13 @@
 """Artifact and trial file formats.
 
 JSON artifacts carry a versioned "schema" field and are written with sorted
-keys so identical inputs produce byte-identical files.  Trial CSVs store
-full double precision (17 significant digits) so stage re-runs are
-bit-stable.
+keys so identical inputs produce byte-identical files.  A trial file holds
+the columns ``t, theta_1, r_1, ...``, one row per sample.  ``simulate``
+writes each trial as ``trial_NNNN.npy``, one C-contiguous float64 array of
+shape (n, 1 + 2N) that reads back to the same bits.  A trial file of any
+other name is CSV text under a header line, each value written as ``%.17g``
+so that it too reads back to the same bits; measured data can be handed in
+that way.
 """
 
 from __future__ import annotations
@@ -93,23 +97,49 @@ def read_rows(path: str) -> np.ndarray:
 
 
 def write_trial_csv(path: str, trial: Trial):
+    """Write ``trial`` to ``path``: a ``.npy`` array if the name ends in
+    ``.npy``, CSV text otherwise.  The name predates the binary format;
+    renaming it waits for ROADMAP item 8, since the benchmark's tracer
+    patches it by name."""
     n_osc = trial.n_oscillators
     rows = np.empty((trial.times.shape[0], 1 + 2 * n_osc))
     rows[:, 0] = trial.times
     rows[:, 1::2] = trial.theta
     rows[:, 2::2] = trial.r
-    header = ["t"] + [f"{name}_{i + 1}" for i in range(n_osc)
-                      for name in ("theta", "r")]
-    write_rows(path, rows, header)
+    if not path.endswith(".npy"):
+        header = ["t"] + [f"{name}_{i + 1}" for i in range(n_osc)
+                          for name in ("theta", "r")]
+        write_rows(path, rows, header)
+        return
+    try:
+        with open(path, "wb") as fh:
+            np.save(fh, rows, allow_pickle=False)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_npy(path: str) -> np.ndarray:
+    """The float64 array of a ``.npy`` file; no pickled or object data."""
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if not (isinstance(data, np.ndarray) and data.dtype == np.float64):
+        raise IoError(f"{path}: a .npy trial file must hold one float64 array")
+    return data
 
 
 def read_trial_csv(path: str, n_oscillators: int | None = None) -> Trial:
-    """A trial of at least MIN_SAMPLES rows and ``n_oscillators`` oscillators (any if None)."""
-    data = read_rows(path)
-    n_osc = (data.shape[-1] - 1) // 2
-    if data.ndim != 2 or data.shape[1] != 1 + 2 * n_osc or data.shape[0] < MIN_SAMPLES:
+    """A trial of at least MIN_SAMPLES rows and ``n_oscillators`` oscillators
+    (any if None), from a ``.npy`` array if the name ends in ``.npy`` and from
+    CSV text otherwise.  The name predates the binary format; renaming it
+    waits for ROADMAP item 8, since the benchmark's tracer patches it by name."""
+    data = _read_npy(path) if path.endswith(".npy") else read_rows(path)
+    if data.ndim != 2 or data.shape[1] % 2 != 1 or data.shape[0] < MIN_SAMPLES:
         raise IoError(f"{path}: a trial file needs a t column, a theta, r pair per "
                       f"oscillator and at least {MIN_SAMPLES} rows")
+    n_osc = data.shape[1] // 2
     if n_oscillators is not None and n_osc != n_oscillators:
         raise IoError(f"{path}: {n_osc} oscillators, but the model has {n_oscillators}")
     if not np.isfinite(data).all():
@@ -123,7 +153,7 @@ def write_trial_set(out_dir: str, trials: list[Trial], step: float, metadata: di
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for p, trial in enumerate(trials):
-        path = os.path.join(out_dir, f"trial_{p:04d}.csv")
+        path = os.path.join(out_dir, f"trial_{p:04d}.npy")
         write_trial_csv(path, trial)
         paths.append(os.path.basename(path))
     manifest = {"files": paths, "step": step, "metadata": metadata}

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from pharec import cli, limit_cycle, pipeline
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_missing_config_is_usage_error(capsys):
@@ -143,7 +146,7 @@ def test_extract_rejects_uneven_times(tmp_path, capsys):
 
 
 def test_reconstruct_vf_rejects_uneven_trial_times(tmp_path, capsys):
-    """A trial CSV whose times increase in uneven steps exits 2 with one
+    """A trial file whose times increase in uneven steps exits 2 with one
     line and writes no network_vf.json."""
     from pharec import pipeline, serialize
     from pharec.vf_reconstruction import Trial
@@ -162,7 +165,7 @@ def test_reconstruct_vf_rejects_uneven_trial_times(tmp_path, capsys):
 
 def test_reconstruct_vf_rejects_non_finite_trial_values(tmp_path, capsys):
     """A nan in r_1 over 50 rows or in a single row, or an inf angle, in a
-    trial CSV exits 2 with one line naming the file and writes no
+    trial file exits 2 with one line naming the file and writes no
     network_vf.json."""
     from pharec import pipeline, serialize
     from pharec.vf_reconstruction import Trial
@@ -178,7 +181,7 @@ def test_reconstruct_vf_rejects_non_finite_trial_values(tmp_path, capsys):
         serialize.write_trial_set(str(tmp_path / "trials"), [trial], 0.05, {})
         assert cli.main(["reconstruct-vf", "--from", str(tmp_path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "trial_0000.csv" in err and "finite" in err
+        assert "trial_0000.npy" in err and "finite" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "network_vf.json").exists()
 
@@ -308,7 +311,7 @@ def test_compare_rejects_artifact_without_a_key(pipeline_runs, tmp_path, capsys,
     for copy in ("config.json", "limit_cycle.json", "transforms.json",
                  "network_vf.json", "reduced_coupling.json",
                  os.path.join("trials", "manifest.json"),
-                 os.path.join("trials", "trial_0000.csv")):
+                 os.path.join("trials", "trial_0000.npy")):
         shutil.copyfile(os.path.join(run.out_dir, copy), tmp_path / copy)
     doc = json.loads((tmp_path / name).read_text())
     parent = doc
@@ -329,7 +332,7 @@ def _copy_run(run, tmp_path, names):
 
 
 _ARTIFACTS = ("config.json", "limit_cycle.json", "transforms.json", "network_vf.json",
-              os.path.join("trials", "manifest.json"), os.path.join("trials", "trial_0000.csv"))
+              os.path.join("trials", "manifest.json"), os.path.join("trials", "trial_0000.npy"))
 
 
 def _keep_oscillator_0(name: str, doc: dict):
@@ -432,7 +435,7 @@ def _trial(n_osc: int, rows: int = 200):
                                              ("compare", "report.json")])
 def test_trial_files_must_match_the_model(pipeline_runs, tmp_path, capsys,
                                           command, output, case):
-    """A trial CSV holding one oscillator of a two-oscillator model (among
+    """A trial file holding one oscillator of a two-oscillator model (among
     two-oscillator files, or in every file), or only 4 rows, exits 2 with
     one stderr line naming that file, and the stage writes nothing."""
     from pharec import serialize
@@ -445,9 +448,115 @@ def test_trial_files_must_match_the_model(pipeline_runs, tmp_path, capsys,
     serialize.write_trial_set(str(tmp_path / "trials"), trials, 0.05, {})
     assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert str(tmp_path / "trials" / "trial_0000.csv") in err
+    assert str(tmp_path / "trials" / "trial_0000.npy") in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / output).exists()
+
+
+def _bad_npy(case: str, path: str):
+    """Overwrite the .npy trial at ``path`` with a file that is no trial."""
+    good = open(path, "rb").read()
+    rows = np.load(path, allow_pickle=False)
+    if case in ("truncated", "empty"):
+        open(path, "wb").write(good[:-8] if case == "truncated" else b"")
+        return
+    if case == "pickled":
+        open(path, "wb").write(pickle.dumps(rows))
+        return
+    if case == "npz":
+        with open(path, "wb") as fh:
+            np.savez(fh, rows=rows)
+        return
+    if case in ("nan", "inf"):
+        rows[150, 2] = np.nan if case == "nan" else -np.inf
+    bad = {"object": np.array([{"t": 0.0}] * 5, dtype=object),
+           "float32": rows.astype(np.float32), "one_dimensional": rows[:, 0],
+           "three_dimensional": rows[None], "four_rows": rows[:4]}.get(case, rows)
+    with open(path, "wb") as fh:
+        np.save(fh, bad, allow_pickle=case == "object")
+
+
+@pytest.mark.parametrize("case", ["truncated", "empty", "object", "pickled", "npz",
+                                  "float32", "one_dimensional", "three_dimensional",
+                                  "nan", "inf", "four_rows"])
+@pytest.mark.parametrize("command, output", [("reconstruct-vf", "network_vf.json"),
+                                             ("compare", "report.json")])
+def test_npy_trial_input_checks(pipeline_runs, tmp_path, capsys, command, output, case):
+    """A .npy trial that is truncated, holds object, pickled or zipped data,
+    a dtype other than float64, an array that is not 2-d, a nan or inf, or
+    fewer than 5 rows exits 2 with one stderr line naming that file, and the
+    stage writes nothing."""
+    from pharec import serialize
+    _copy_run(pipeline_runs["canonical"], tmp_path,
+              ("config.json",) if command == "reconstruct-vf"
+              else _ARTIFACTS + ("reduced_coupling.json",))
+    serialize.write_trial_set(str(tmp_path / "trials"), [_trial(2), _trial(2)], 0.05, {})
+    path = str(tmp_path / "trials" / "trial_0000.npy")
+    _bad_npy(case, path)
+    assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert path in err and len(err.splitlines()) == 1
+    assert not (tmp_path / output).exists()
+
+
+def test_csv_trials_give_the_npy_runs_bytes(pipeline_runs, tmp_path):
+    """A run's trials exported as CSV by tools/trials_to_csv.py give
+    reconstruct-vf, reduce-coupling and compare the bytes of network_vf.json,
+    reduced_coupling.json and report.json that the run's .npy trials gave."""
+    run = pipeline_runs["radial_isochron_clock"]
+    tool = os.path.join(ROOT, "tools", "trials_to_csv.py")
+    for name in ("config.json", "limit_cycle.json", "transforms.json"):
+        shutil.copyfile(os.path.join(run.out_dir, name), tmp_path / name)
+    proc = subprocess.run([sys.executable, tool, run.out_dir, str(tmp_path / "trials")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and proc.stderr == ""
+    manifest = json.loads((tmp_path / "trials" / "manifest.json").read_text())
+    original = json.loads(open(os.path.join(run.out_dir, "trials", "manifest.json")).read())
+    assert manifest["files"] == [f"trial_{k:04d}.csv" for k in range(run.config.n_trials)]
+    assert (manifest["step"], manifest["metadata"]) == (original["step"],
+                                                        original["metadata"])
+    first = (tmp_path / "trials" / "trial_0000.csv").read_text().splitlines()[0]
+    assert first == "t,theta_1,r_1,theta_2,r_2"
+    for command in ("reconstruct-vf", "reduce-coupling", "compare"):
+        assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_PASS
+    for name in ("network_vf.json", "reduced_coupling.json", "report.json"):
+        with open(os.path.join(run.out_dir, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+    # A run without a trial set, or an existing OUT_DIR, is an input error
+    # of one stderr line, and nothing is written.
+    for run_dir, out, named in ((tmp_path / "none", tmp_path / "out", "manifest.json"),
+                                (run.out_dir, tmp_path / "trials", "exists")):
+        before = sorted(os.listdir(tmp_path / "trials"))
+        proc = subprocess.run([sys.executable, tool, str(run_dir), str(out)],
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 2 and len(proc.stderr.splitlines()) == 1
+        assert named in proc.stderr and not (tmp_path / "out").exists()
+        assert sorted(os.listdir(tmp_path / "trials")) == before
+
+
+def test_simulate_reruns_write_identical_npy_files(pipeline_runs, tmp_path):
+    """Two simulate runs write byte-identical manifests and .npy trials, each
+    one C-contiguous float64 (n, 5) array."""
+    from pharec import serialize
+    run = pipeline_runs["canonical"]
+    doc = serialize.read_json(os.path.join(run.out_dir, "config.json"), "config")
+    doc.pop("schema")
+    doc["n_trials"] = 3
+    written = []
+    for side in ("a", "b"):
+        out = tmp_path / side
+        os.makedirs(out)
+        shutil.copyfile(os.path.join(run.out_dir, "limit_cycle.json"),
+                        out / "limit_cycle.json")
+        serialize.write_json(str(out / "config.json"), doc, "config")
+        assert cli.main(["simulate", "--from", str(out)]) == cli.EXIT_PASS
+        written.append({p.name: p.read_bytes() for p in (out / "trials").iterdir()})
+    assert written[0] == written[1]
+    assert sorted(written[0]) == ["manifest.json", "trial_0000.npy", "trial_0001.npy",
+                                  "trial_0002.npy"]
+    rows = np.load(tmp_path / "a" / "trials" / "trial_0001.npy", allow_pickle=False)
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert rows.ndim == 2 and rows.shape[1] == 5
 
 
 def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):

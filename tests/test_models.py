@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pharec import models, ode
-from pharec.errors import NoAnalyticForm, NonFiniteState, NonPositiveRadius, UnknownKind
+from pharec.errors import (NoAnalyticForm, NonFiniteState, NonPositiveRadius, ShapeMismatch,
+                           UnknownKind)
 
 KINDS = ("radial_isochron_clock", "canonical", "van_der_pol", "wilson_cowan")
 
@@ -112,6 +113,19 @@ def test_network_field_coupling_direction():
     # Oscillator 0 is undriven, oscillator 1 receives the drive.
     np.testing.assert_allclose(net[0], unc[0])
     assert np.abs(net[1] - unc[1]).max() > 1e-3
+
+
+def test_coupled_network_field_rejects_other_state_shapes():
+    """The coupled field takes only states (..., N, 2): a (2,) state, a wrong
+    oscillator count or a wrong last axis raise ShapeMismatch naming that
+    shape."""
+    for kind in KINDS:
+        spec = models.default_spec(kind)
+        vf = models.network_vf(spec)
+        assert vf(np.full((3, 2, 2), 0.5)).shape == (3, 2, 2)
+        for shape in ((2,), (3, 2), (2, 3), (4, 3, 2)):
+            with pytest.raises(ShapeMismatch, match=r"\(\.\.\., 2, 2\)"):
+                vf(np.full(shape, 0.5))
 
 
 def test_one_formula_behind_every_field():

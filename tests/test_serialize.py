@@ -50,11 +50,34 @@ def test_trial_csv_exact_round_trip(tmp_path):
     assert np.signbit(again.theta[1, 1])
 
 
+def test_trial_npy_exact_round_trip(tmp_path):
+    """A .npy trial is one C-contiguous float64 (n, 1 + 2N) array with the
+    CSV's columns, and negative zero, the smallest subnormal and 0.1 read
+    back with their bits."""
+    trial = make_trial()
+    trial.theta[1] = [0.1, -0.0]
+    trial.r[1] = [1e-300, 5e-324]
+    path = str(tmp_path / "trial.npy")
+    serialize.write_trial_csv(path, trial)
+    data = np.load(path, allow_pickle=False)
+    assert data.dtype == np.float64 and data.shape == (50, 5)
+    assert data.flags.c_contiguous
+    want = np.column_stack([trial.times, trial.theta[:, 0], trial.r[:, 0],
+                            trial.theta[:, 1], trial.r[:, 1]])
+    assert data.tobytes() == want.tobytes()
+    again = serialize.read_trial_csv(path, 2)
+    for got, expected in ((again.times, trial.times), (again.theta, trial.theta),
+                          (again.r, trial.r)):
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert again.theta[1].view(np.uint64).tolist() == [0x3FB999999999999A, 1 << 63]
+    assert again.r[1, 1].view(np.uint64) == 1
+
+
 def test_trial_set_round_trip(tmp_path):
     trials = [make_trial(s) for s in range(3)]
     out = str(tmp_path / "trials")
     names = serialize.write_trial_set(out, trials, 0.01, {"kind": "demo", "seed": 1})
-    assert names == ["trial_0000.csv", "trial_0001.csv", "trial_0002.csv"]
+    assert names == ["trial_0000.npy", "trial_0001.npy", "trial_0002.npy"]
     again = serialize.read_trial_set(out)
     _, step, metadata = serialize.read_trial_manifest(out)
     assert step == 0.01 and metadata == {"kind": "demo", "seed": 1}

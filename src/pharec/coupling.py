@@ -15,6 +15,7 @@ import numpy as np
 
 from .basis import FittedSeries, PairBasisSpec, pair_row, spec_from_dict
 from .errors import EmptyRadiusData, InsufficientSamples, UnknownPair
+from .limit_cycle import finite_numbers
 from .ridge import ridge_fit
 from .transforms import TransformSet
 from .vf_reconstruction import NetworkVF, eval_coupling
@@ -136,9 +137,9 @@ class ReducedCoupling:
     @classmethod
     def from_dict(cls, d: dict) -> "ReducedCoupling":
         n = d["n_oscillators"]
-        return cls(n_oscillators=n, spec=spec_from_dict(d["spec"]),
+        omega, lam = (list(finite_numbers(d[key], n, key)) for key in ("omega", "lam"))
+        return cls(n_oscillators=n, spec=spec_from_dict(d["spec"]), omega=omega, lam=lam,
                    series=FittedSeries.from_table(d["series"], n, 2, EQUATIONS),
-                   omega=d["omega"], lam=d["lam"],
                    fallback=d["fallback"], diagnostics=d["diagnostics"])
 
 

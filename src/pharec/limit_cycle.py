@@ -8,7 +8,6 @@ passages of theta through multiples of 2*pi.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -29,9 +28,6 @@ STEPS_PER_PERIOD = 2000
 DEFAULT_N_G = 8
 # Points per gamma evaluation slice; a multiple of 4 (see LimitCycle.gamma_at).
 _GAMMA_SLICE = 4096
-# Relative tolerance and iteration budget of _brentq: scipy.optimize.brentq's defaults.
-_BRENT_RTOL = 4 * sys.float_info.epsilon
-_BRENT_ITER = 100
 
 
 def is_finite_number(x) -> bool:
@@ -49,65 +45,12 @@ def finite_number(x, what: str, positive: bool = False, nonnegative: bool = Fals
     return float(x)
 
 
-def finite_pair(v, what: str) -> tuple[float, float]:
-    """``v`` as two floats; a ValueError naming ``what`` unless it is a list of
-    two finite numbers."""
-    if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_finite_number, v))):
-        raise ValueError(f"{what} must be two finite numbers, not {v!r}")
-    return float(v[0]), float(v[1])
-
-
-def _brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of scipy's C ``brentq`` (``Zeros/brentq.c``) at
-    rtol = _BRENT_RTOL and _BRENT_ITER iterations, so it takes the same
-    iterates and returns the same bits.  NoConvergence when f(a) and f(b)
-    have the same sign, when f returns NaN, or when the budget runs out.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NoConvergence(f"root bracket function is NaN at {x!r}")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise NoConvergence(f"no sign change of the root bracket over [{a!r}, {b!r}]")
-    for _ in range(_BRENT_ITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise NoConvergence(f"Brent's method did not converge in {_BRENT_ITER} iterations")
+def finite_numbers(v, n: int, what: str) -> tuple[float, ...]:
+    """``v`` as ``n`` floats; a ValueError naming ``what`` unless it is a list
+    of ``n`` finite numbers."""
+    if not (isinstance(v, (list, tuple)) and len(v) == n and all(map(is_finite_number, v))):
+        raise ValueError(f"{what} must be {n} finite numbers, not {v!r}")
+    return tuple(map(float, v))
 
 
 @dataclass(frozen=True)
@@ -158,14 +101,19 @@ class LimitCycle:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LimitCycle":
-        theta0, r0 = finite_pair(d["anchor"], "anchor")
+        theta0, r0 = finite_numbers(d["anchor"], 2, "anchor")
+        mono = d["monodromy"]
+        if mono is not None:
+            if not (isinstance(mono, list) and len(mono) == 2):
+                raise ValueError(f"monodromy must be null or 2x2 finite numbers, not {mono!r}")
+            mono = np.array([finite_numbers(row, 2, "monodromy row") for row in mono])
         return cls(period=finite_number(d["period"], "period", positive=True),
                    omega=finite_number(d["omega"], "omega", positive=True),
                    gamma=FittedSeries.from_dict(d["gamma"]),
                    anchor=(theta0, finite_number(r0, "anchor radius", positive=True)),
                    gamma_resid=finite_number(d["gamma_resid"], "gamma_resid", nonnegative=True),
                    lam=finite_number(d["lam"], "lam"),
-                   monodromy=None if d["monodromy"] is None else np.asarray(d["monodromy"]))
+                   monodromy=mono)
 
 
 def _rough_period(vf, state) -> tuple[float, np.ndarray]:
@@ -191,6 +139,21 @@ def _rough_period(vf, state) -> tuple[float, np.ndarray]:
     raise NoConvergence("could not estimate a rotation period")
 
 
+def _crossing(vf, state, step: float, target: float) -> float:
+    """The RK4 step h in [0, step] from ``state`` that takes theta to ``target``.
+
+    Bisection keeps theta(lo) < target <= theta(hi), as at lo = 0, hi = step,
+    and stops at float resolution: once the midpoint is lo or hi.
+    """
+    lo, hi = 0.0, step
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if ode.rk4_step(vf, state, mid)[0] < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def find_limit_cycle(vf, seed_state, n_gamma: int = DEFAULT_N_G) -> LimitCycle:
     """Locate the attracting cycle of a polar vector field.
 
@@ -210,13 +173,8 @@ def find_limit_cycle(vf, seed_state, n_gamma: int = DEFAULT_N_G) -> LimitCycle:
     for _ in range(500 * STEPS_PER_PERIOD):
         nxt = ode.rk4_step(vf, state, step)
         if nxt[0] >= target:
-            base = state
-
-            def excess(h):
-                return ode.rk4_step(vf, base, h)[0] - target
-
-            h = _brentq(excess, 0.0, step, 1e-14)
-            cross_state = ode.rk4_step(vf, base, h)
+            h = _crossing(vf, state, step, target)
+            cross_state = ode.rk4_step(vf, state, h)
             t_cross = t_now + h
             if vf(cross_state)[0] > 0:
                 if prev is not None and abs(cross_state[1] - prev[1]) < 1e-10:

@@ -9,7 +9,7 @@ transformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
     UnknownKind,
 )
-from .limit_cycle import finite_pair, is_finite_number
+from .limit_cycle import finite_numbers, is_finite_number
 
 __all__ = [
     "ModelSpec",
@@ -209,26 +209,15 @@ def _field(kind: str, p: dict, u, v, drive=None):
 
 
 def network_vf(spec: ModelSpec):
-    """Vector field callable over the full network state ``(..., N, 2)``.
+    """Vector field callable over network states ``(..., N, 2)``, else ShapeMismatch.
 
     The trailing pair is (theta, r) for polar kinds and (x, y) for Cartesian
     kinds.  Oscillator i receives ``sum_j coupling[i, j] * s_j``, where the
     signal s_j is r sin(theta) (radial isochron clock), r cos(theta)
     (canonical), x (van der Pol) or x minus its equilibrium (Wilson-Cowan).
-    An all-zero coupling matrix computes no signal and passes no drive, which
-    changes no bit (see ``_field``) except at the exact van der Pol origin, an
-    equilibrium, where a -0.0 component may come out +0.0.  Only the coupled
-    form checks the state's shape (ShapeMismatch), so the zero-coupling
-    settle of ``estimate_frame`` pays nothing for it.
     """
     kind, eps = spec.kind, spec.coupling
     p = {k: np.asarray(v) for k, v in spec.params.items()}
-    if not eps.any():
-        def uncoupled(states):
-            states = np.asarray(states, dtype=float)
-            return _stacked(states, *_field(kind, p, states[..., 0], states[..., 1]))
-
-        return uncoupled
     if kind == WILSON_COWAN:
         x0 = np.asarray([wc_equilibrium(spec, i)
                          for i in range(spec.n_oscillators)])[:, 0]
@@ -338,7 +327,7 @@ class ObservableFrame:
         orientation = d["orientation"]
         if not (is_finite_number(orientation) and abs(orientation) == 1):
             raise ValueError(f"orientation must be 1 or -1, not {orientation!r}")
-        return cls(center=finite_pair(d["center"], "center"), orientation=float(orientation))
+        return cls(center=finite_numbers(d["center"], 2, "center"), orientation=float(orientation))
 
 
 def cart_to_polar(xy: np.ndarray, frame: ObservableFrame) -> np.ndarray:
@@ -375,9 +364,14 @@ def estimate_frame(spec: ModelSpec) -> list[ObservableFrame]:
     n = spec.n_oscillators
     if spec.kind in _POLAR_KINDS:
         return [ObservableFrame()] * n
-    vf = network_vf(replace(spec, coupling=np.zeros((n, n))))
+    kind, p = spec.kind, {k: np.asarray(v) for k, v in spec.params.items()}
+
+    def settle(states):
+        states = np.asarray(states, dtype=float)
+        return _stacked(states, *_field(kind, p, states[..., 0], states[..., 1]))
+
     seeds = np.stack([_settle_seed(spec, i) for i in range(n)])
-    states = ode.integrate(vf, seeds, 200.0, 0.005).states
+    states = ode.integrate(settle, seeds, 200.0, 0.005).states
     frames = []
     for i in range(n):
         # A contiguous copy, so the sums take a single-oscillator run's order.

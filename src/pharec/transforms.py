@@ -16,7 +16,7 @@ from .averaging import ReducedSample
 from .basis import (FittedSeries, SingleBasisSpec, series_eval, series_eval_grad,
                     single_row)
 from .errors import InsufficientSamples
-from .limit_cycle import LimitCycle, finite_pair
+from .limit_cycle import LimitCycle, finite_numbers
 from .ridge import ridge_fit
 
 __all__ = [
@@ -83,7 +83,7 @@ class TransformSet:
 
 def _domain(d: dict, key: str) -> tuple[float, float]:
     """``d[key]`` as (lo, hi); it must be two finite numbers with lo <= hi."""
-    lo, hi = finite_pair(d[key], key)
+    lo, hi = finite_numbers(d[key], 2, key)
     if lo > hi:
         raise ValueError(f"{key} must be two finite numbers lo <= hi, not {d[key]!r}")
     return lo, hi

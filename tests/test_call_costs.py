@@ -11,12 +11,12 @@ def test_table_has_one_row_of_positive_costs_per_default_kind():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["kind", "field_1", "field_316", "jacobian", "rk4_1",
-                                "rk4_316", "network_40", "settle_2"]
+                                "rk4_316", "network_40"]
     rows = [line.split() for line in lines[1:]]
     assert [row[0] for row in rows] == ["radial_isochron_clock", "canonical",
                                         "van_der_pol", "wilson_cowan"]
     for row in rows:
-        assert len(row) == 8 and all(float(us) > 0 for us in row[1:])
+        assert len(row) == 7 and all(float(us) > 0 for us in row[1:])
 
 
 def test_options_are_refused():

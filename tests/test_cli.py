@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pharec import cli, limit_cycle, pipeline
+from pharec import cli, pipeline
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -255,18 +255,6 @@ def test_only_extract_loads_scipy_signal(tmp_path):
     assert (tmp_path / "phases.csv").exists()
 
 
-def test_unconverged_poincare_crossing_is_numerical_error(tmp_path, capsys, monkeypatch):
-    """A Brent step that spends its iterations without converging exits 3
-    with one stderr line, not 1 with a traceback."""
-    pipeline.write_config(pipeline.default_config("radial_isochron_clock", str(tmp_path)))
-    monkeypatch.setattr(limit_cycle, "_BRENT_ITER", 1)
-    assert cli.main(["limit-cycle", "--from", str(tmp_path)]) == cli.EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("pharec: NoConvergence: Brent's method")
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "limit_cycle.json").exists()
-
-
 def test_stage_rerun_is_bitwise_stable(pipeline_runs):
     """Re-running one stage from the artifact directory reproduces its
     output byte for byte."""
@@ -387,6 +375,10 @@ def test_oscillator_count_must_match_the_model(pipeline_runs, tmp_path, capsys,
     pytest.param("limit_cycle.json", "cycle", "anchor", [0.0, float("nan")], id="anchor-nan"),
     pytest.param("limit_cycle.json", "cycle", "anchor", [0.0, -1.0], id="anchor-negative"),
     pytest.param("limit_cycle.json", "cycle", "anchor", [0.0], id="anchor-one"),
+    pytest.param("limit_cycle.json", "cycle", "monodromy", "abc", id="monodromy-string"),
+    pytest.param("limit_cycle.json", "cycle", "monodromy", [[1.0, 2.0]], id="monodromy-one-row"),
+    pytest.param("limit_cycle.json", "cycle", "monodromy", [[1.0, float("nan")], [0.0, 1.0]],
+                 id="monodromy-nan"),
     pytest.param("limit_cycle.json", "frame", "orientation", "x", id="orientation-string"),
     pytest.param("limit_cycle.json", "frame", "orientation", None, id="orientation-null"),
     pytest.param("limit_cycle.json", "frame", "orientation", 0.0, id="orientation-zero"),
@@ -404,8 +396,9 @@ def test_oscillator_count_must_match_the_model(pipeline_runs, tmp_path, capsys,
 def test_cycle_without_a_finite_lam_is_usage_error(pipeline_runs, tmp_path, capsys,
                                                    name, part, key, value):
     """A cycle's period and omega must be finite positive numbers, its lam a
-    finite number, its gamma_resid a finite number >= 0 and its anchor two
-    finite numbers with a positive radius; a frame's center must be two
+    finite number, its gamma_resid a finite number >= 0, its anchor two
+    finite numbers with a positive radius and its monodromy null or 2x2
+    finite numbers; a frame's center must be two
     finite numbers and its orientation 1 or -1; each transform domain must be
     two finite numbers lo <= hi, and each lambda_slope a finite number.
     Otherwise reduce-coupling exits 2 with one stderr line naming the file
@@ -420,6 +413,31 @@ def test_cycle_without_a_finite_lam_is_usage_error(pipeline_runs, tmp_path, caps
     assert str(tmp_path / name) in err and key in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "reduced_coupling.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("omega", [1.0], id="omega-one"),
+    pytest.param("omega", [1.0, "x"], id="omega-string"),
+    pytest.param("omega", 1.0, id="omega-scalar"),
+    pytest.param("lam", [-2.0, float("nan")], id="lam-nan"),
+    pytest.param("lam", None, id="lam-null"),
+    pytest.param("lam", [-2.0, -4.0, -1.0], id="lam-three"),
+])
+def test_compare_rejects_reduced_rates_not_per_oscillator(pipeline_runs, tmp_path, capsys,
+                                                          key, value):
+    """The omega and lam of reduced_coupling.json must each be one finite
+    number per oscillator; otherwise compare exits 2 with one stderr line
+    naming the file and the key, and writes no report.json."""
+    _copy_run(pipeline_runs["canonical"], tmp_path, _ARTIFACTS + ("reduced_coupling.json",))
+    path = tmp_path / "reduced_coupling.json"
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(["compare", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 def _trial(n_osc: int, rows: int = 200):

@@ -1,15 +1,12 @@
-import json
-import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
-from pharec import limit_cycle, models
-from pharec.errors import ComplexMultiplier, NoConvergence, PharecError
+from pharec import limit_cycle, models, ode
+from pharec.errors import ComplexMultiplier
 
 
 @pytest.fixture(scope="module")
@@ -118,89 +115,45 @@ def test_gamma_slices_keep_one_shot_bits():
     assert done.stdout.strip() == "ok"
 
 
-SMOOTH = {
-    "quadratic": lambda x: x * x - 2.0,
-    "cubic": lambda x: x ** 3 - x - 1.0,
-    "sine": lambda x: math.sin(3.0 * x) - 0.3,
-    "exp": lambda x: math.exp(x) - 3.0,
-    "cos_minus_x": lambda x: math.cos(x) - x,
-    "flat_fifth_power": lambda x: (x - 0.7) ** 5,
-    "steep_tanh": lambda x: math.tanh(50.0 * (x - 0.1234567)),
-}
-PORT = limit_cycle._brentq
+def _recorded_crossing(vf, state, step, target, monkeypatch):
+    """_crossing's result and every RK4 step length it tries."""
+    tried, real = [], ode.rk4_step
+
+    def rk4_step(vf, state, h):
+        tried.append(h)
+        return real(vf, state, h)
+
+    with monkeypatch.context() as m:
+        m.setattr(ode, "rk4_step", rk4_step)
+        h = limit_cycle._crossing(vf, state, step, target)
+    assert tried and all(0.0 <= t <= step for t in tried)
+    assert 0.0 <= h <= step
+    return h
 
 
-def _same_outcome(f, a, b, xtol):
-    """The port returns scipy's root bit for bit, or raises NoConvergence
-    where scipy raises."""
-    try:
-        want = brentq(f, a, b, xtol=xtol)
-    except (ValueError, RuntimeError):
-        with pytest.raises(NoConvergence):
-            PORT(f, a, b, xtol)
-        return False
-    got = PORT(f, a, b, xtol)
-    assert type(got) is float
-    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, b, xtol)
-    return True
+def test_crossing_on_the_clock_is_the_distance_to_the_target(monkeypatch):
+    """The clock's theta-rate is exactly 1.0, so an RK4 step of h advances
+    theta by h, and the crossing's h is target - theta0."""
+    vf = models.uncoupled_vf(models.default_spec("radial_isochron_clock"), 0)
+    step = 2 * np.pi / limit_cycle.STEPS_PER_PERIOD
+    for theta0, target in [(2 * np.pi - f * step, 2 * np.pi) for f in (1e-9, 0.37, 0.999)] + [
+            (1.0, 1.0 + 0.5 * step), (0.2, 0.2 + step)]:
+        h = _recorded_crossing(vf, np.array([theta0, 1.3]), step, target, monkeypatch)
+        assert abs(h - (target - theta0)) <= 1e-15
 
 
-@pytest.mark.parametrize("name", sorted(SMOOTH))
-def test_brentq_matches_scipy_bit_for_bit(name):
-    """On a grid of brackets, either end first, and four tolerances the port
-    takes scipy's iterates: the same root bits, and an error where scipy has
-    one (brackets without a sign change).  The coarse 0.3 reaches the
-    ``- delta`` of the short-step test."""
-    ends = np.linspace(-2.5, 3.0, 12)
-    found = 0
-    for a in ends:
-        for b in ends:
-            if a != b:
-                for xtol in (1e-14, 2e-12, 1e-6, 0.3):
-                    found += _same_outcome(SMOOTH[name], float(a), float(b), xtol)
-    assert found > 0
-
-
-@pytest.mark.parametrize("kind", ["radial_isochron_clock", "canonical"])
-def test_poincare_crossings_match_scipy_brentq(kind, monkeypatch):
-    """Every [0, step] RK4 crossing that find_limit_cycle solves gives the
-    same root with the port as with scipy.optimize.brentq, and the cycle
-    found with scipy's routine is the same to the last bit."""
-    spec = models.default_spec(kind)
-    vf = models.uncoupled_vf(spec, 0)
-    seed = np.array([0.3, 1.4])
-    crossings = []
-
-    def checked(f, a, b, xtol):
-        crossings.append(_same_outcome(f, a, b, xtol))
-        return PORT(f, a, b, xtol)
-
-    monkeypatch.setattr(limit_cycle, "_brentq", checked)
-    cycle = limit_cycle.find_limit_cycle(vf, seed)
-    assert len(crossings) >= 2 and all(crossings)
-    monkeypatch.setattr(limit_cycle, "_brentq",
-                        lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol))
-    again = limit_cycle.find_limit_cycle(vf, seed)
-    assert json.dumps(again.to_dict()) == json.dumps(cycle.to_dict())
-
-
-def test_brentq_failures_raise_no_convergence():
-    """A bracket without a sign change, a NaN value and a budget of
-    iterations spent without convergence raise NoConvergence, a PharecError,
-    where scipy raises ValueError or RuntimeError."""
-    def step(x):
-        return -1.0 if x < 0.123 else 1.0
-
-    cases = [
-        (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),   # no sign change
-        (lambda x: math.nan, 0.0, 1.0, ValueError),       # NaN at an end
-        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0,
-         ValueError),                                      # NaN mid-search
-        (step, -1e300, 1e300, RuntimeError),              # > 100 bisections
-    ]
-    for f, a, b, scipy_error in cases:
-        with pytest.raises(scipy_error):
-            brentq(f, a, b, xtol=1e-14)
-        with pytest.raises(NoConvergence):
-            PORT(f, a, b, 1e-14)
-    assert issubclass(NoConvergence, PharecError)
+def test_crossing_on_van_der_pol_lands_on_the_target(monkeypatch):
+    """On the van der Pol polar field, whose theta-rate varies along the
+    step, one RK4 step of the returned h ends within 1e-13 of the target."""
+    spec = models.default_spec("van_der_pol")
+    vf = models.polar_uncoupled_vf(spec, 0, models.ObservableFrame(orientation=-1.0))
+    rng = np.random.default_rng(5)
+    step = 0.01
+    for theta0, r, frac in zip(rng.uniform(0.0, 2 * np.pi, 8), rng.uniform(1.5, 2.5, 8),
+                               rng.uniform(0.0, 1.0, 8)):
+        state = np.array([theta0, r])
+        end = ode.rk4_step(vf, state, step)[0]
+        target = theta0 + frac * (end - theta0)
+        assert theta0 < target <= end
+        h = _recorded_crossing(vf, state, step, target, monkeypatch)
+        assert abs(ode.rk4_step(vf, state, h)[0] - target) <= 1e-13

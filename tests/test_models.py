@@ -223,10 +223,8 @@ def _zero_coupled_formula(spec, states):
 def test_field_outputs_are_fresh_stacks_of_the_formula():
     """Every field factory returns, bit for bit, ``np.stack`` of the formula's
     two components (broadcast: the clock's uncoupled θ-rate is a scalar), in a
-    new float64 array of the state's shape per call.  A zero-coupling network,
-    which passes no drive, gives the coupled formula's bits under a zero
-    coupling matrix; its (2,) case is a one-oscillator network, whose formula
-    runs on the same state as a (1, 2) row."""
+    new float64 array of the state's shape per call.  A zero-coupling network
+    gives the coupled formula's bits under a zero coupling matrix."""
     rng = np.random.default_rng(4)
     for kind in KINDS:
         spec = models.default_spec(kind)
@@ -248,10 +246,6 @@ def test_field_outputs_are_fresh_stacks_of_the_formula():
                   lambda s: models._field(kind, p, s[..., 0], s[..., 1],
                                           _network_signal(spec, s) @ spec.coupling.T),
                   native_states(shape, centers)) for shape in ((2,), (7, 2))]
-        solo = models.ModelSpec(kind, {k: v[:1] for k, v in spec.params.items()}, [[0.0]])
-        cases += [(models.network_vf(solo),
-                   lambda s, solo=solo: _zero_coupled_formula(solo, s.reshape(1, 2)),
-                   native_states((), centers[0]))]
         cases += [(models.network_vf(replace(spec, coupling=np.zeros((2, 2)))),
                    lambda s: _zero_coupled_formula(spec, s),
                    native_states(shape, centers)) for shape in ((2,), (7, 2))]

@@ -5,9 +5,7 @@
 For each default model kind, times (best of 5 repeats, in µs per call):
 oscillator 0's uncoupled field in observable polar coordinates at 1 point
 and at 316 points, its complex-step Jacobian, one RK4 step of that field at
-1 and at 316 points, the coupled ``network_vf`` on a (40, 2, 2) state, and
-the zero-coupling ``network_vf`` on a (2, 2) state, the call
-``estimate_frame``'s settle run makes four times per RK4 step.
+1 and at 316 points, and the coupled ``network_vf`` on a (40, 2, 2) state.
 The points lie around the cycle (radius 0.8-1.25 on the polar kinds, a
 band around the frame's center on the Cartesian ones) and are drawn at a
 fixed seed. Runs with one BLAS/OpenMP thread. Takes no options.
@@ -16,7 +14,6 @@ fixed seed. Runs with one BLAS/OpenMP thread. Takes no options.
 import os
 import sys
 import timeit
-from dataclasses import replace
 
 for _key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS"):
@@ -27,8 +24,7 @@ import numpy as np  # noqa: E402
 
 from pharec import models, ode  # noqa: E402
 
-COLUMNS = ("field_1", "field_316", "jacobian", "rk4_1", "rk4_316", "network_40",
-           "settle_2")
+COLUMNS = ("field_1", "field_316", "jacobian", "rk4_1", "rk4_316", "network_40")
 REPEATS, CALLS = 5, 1000
 # Observable radii around each default kind's cycle, in the order printed.
 RADII = {"radial_isochron_clock": (0.8, 1.25), "canonical": (0.8, 1.25),
@@ -53,12 +49,10 @@ def costs(kind: str, rng) -> list[float]:
     if models.native_coords(kind) == "cartesian":
         net = models.polar_to_cart(net, frames[0])
     network = models.network_vf(spec)
-    settle = models.network_vf(replace(spec, coupling=np.zeros((2, 2))))
     h = 2.0 * np.pi / 2000
     return [best_us(lambda: vf(one)), best_us(lambda: vf(many)), best_us(lambda: jac(one)),
             best_us(lambda: ode.rk4_step(vf, one, h)),
-            best_us(lambda: ode.rk4_step(vf, many, h)), best_us(lambda: network(net)),
-            best_us(lambda: settle(net[0]))]
+            best_us(lambda: ode.rk4_step(vf, many, h)), best_us(lambda: network(net))]
 
 
 def main() -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import FittedSeries, PairBasisSpec, pair_row, spec_from_dict
 from .errors import EmptyRadiusData, InsufficientSamples, UnknownPair
-from .limit_cycle import finite_numbers
+from .limit_cycle import finite_numbers, json_object
 from .ridge import ridge_fit
 from .transforms import TransformSet
 from .vf_reconstruction import NetworkVF, eval_coupling
@@ -120,7 +120,7 @@ class ReducedCoupling:
     series: dict               # (i, j, equation) -> FittedSeries
     omega: list[float]
     lam: list[float]
-    fallback: list[bool] = field(default_factory=list)
+    fallback: list[bool]       # per oscillator: radius grid from the fallback range
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -138,9 +138,13 @@ class ReducedCoupling:
     def from_dict(cls, d: dict) -> "ReducedCoupling":
         n = d["n_oscillators"]
         omega, lam = (list(finite_numbers(d[key], n, key)) for key in ("omega", "lam"))
+        fallback = d["fallback"]
+        if not (isinstance(fallback, list) and len(fallback) == n
+                and all(isinstance(f, bool) for f in fallback)):
+            raise ValueError(f"fallback must be {n} booleans, not {fallback!r}")
         return cls(n_oscillators=n, spec=spec_from_dict(d["spec"]), omega=omega, lam=lam,
                    series=FittedSeries.from_table(d["series"], n, 2, EQUATIONS),
-                   fallback=d["fallback"], diagnostics=d["diagnostics"])
+                   fallback=fallback, diagnostics=json_object(d["diagnostics"], "diagnostics"))
 
 
 def reduce_network_coupling(nvf: NetworkVF, transform_sets: list[TransformSet],

@@ -53,6 +53,13 @@ def finite_numbers(v, n: int, what: str) -> tuple[float, ...]:
     return tuple(map(float, v))
 
 
+def json_object(v, what: str) -> dict:
+    """``v``; a ValueError naming ``what`` unless it is a dict (a JSON object)."""
+    if not isinstance(v, dict):
+        raise ValueError(f"{what} must be a JSON object, not {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class LimitCycle:
     """Period, frequency, radial profile gamma(theta) and Floquet data."""

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import averaging, coupling, models, serialize, transforms, vf_reconstruction
 from .basis import PairBasisSpec, SingleBasisSpec
 from .errors import InvalidConfig, NoAnalyticForm
-from .limit_cycle import (LimitCycle, find_limit_cycle, finite_number, floquet_from_monodromy,
-                          is_finite_number)
+from .limit_cycle import LimitCycle, find_limit_cycle, finite_number, floquet_from_monodromy
 # perfbench/tracer.py patches ``integrate`` here by name, so it stays bound.
 from .ode import Trajectory, integrate  # noqa: F401
 from .transforms import TransformSet, _wrap
@@ -37,28 +36,31 @@ __all__ = [
     "run_pipeline",
 ]
 
-GAMMA_HARMONICS = {
-    "radial_isochron_clock": 8,
-    "canonical": 8,
-    "van_der_pol": 32,
-    "wilson_cowan": 32,
+# The method's settings of each model kind: cycle-profile harmonics, the
+# orders of the uncoupled field's and of the transforms' series, the
+# initial-condition grid of the averages, and the radial span of those
+# initial conditions and of the trials. Non-circular cycles need more
+# harmonics, a denser grid and a slightly narrower outer radius (the forward
+# radius map steepens quickly outside the cycle).
+_POLAR = {"n_gamma": 8, "single": SingleBasisSpec(4, 5), "transform": SingleBasisSpec(4, 5),
+          "ic_angles": 21, "ic_radii": 15, "radial_span": (0.75, 1.35)}
+_CARTESIAN = {"n_gamma": 32, "single": SingleBasisSpec(5, 10),
+              "ic_angles": 52, "ic_radii": 16, "radial_span": (0.75, 1.3)}
+KIND_SETTINGS = {
+    "radial_isochron_clock": dict(_POLAR),
+    "canonical": dict(_POLAR),
+    "van_der_pol": dict(_CARTESIAN, transform=SingleBasisSpec(7, 12)),
+    "wilson_cowan": dict(_CARTESIAN, transform=SingleBasisSpec(6, 14)),
 }
 
-# Non-circular cycles need more harmonics, a denser reduced-coordinate grid
-# and a slightly narrower outer radius (the forward radius map steepens
-# quickly outside the cycle).
-KIND_DEFAULTS = {
-    "radial_isochron_clock": {},
-    "canonical": {},
-    "van_der_pol": {
-        "single_orders": (5, 10), "transform_orders": (7, 12),
-        "ic_angles": 52, "ic_radii": 16, "radial_span": (0.75, 1.3),
-    },
-    "wilson_cowan": {
-        "single_orders": (5, 10), "transform_orders": (6, 14),
-        "ic_angles": 52, "ic_radii": 16, "radial_span": (0.75, 1.3),
-    },
-}
+# Settings shared by every kind: trial duration in cycle periods, the
+# coupling series' orders in observable and reduced coordinates, the
+# reduced-coupling evaluation points and the VF fit's pooled-row budget.
+TRIAL_PERIODS = 6.0
+PAIR_SPEC = PairBasisSpec(3, 2, 2, "observable")
+REDUCED_SPEC = PairBasisSpec(2, 2, 2, "reduced")
+GRID_POINTS = 4000
+ROW_BUDGET = 60000
 
 # Pass bounds of the report rows; each row records the bound it was held to.
 TOLERANCES = {
@@ -81,52 +83,24 @@ TOLERANCES = {
 }
 
 
-# Integer fields and their smallest valid value.
-_INT_MINIMUMS = {"seed": 0, "n_trials": 1, "ic_angles": 1, "ic_radii": 1,
-                 "grid_points": 10, "row_budget": 1}
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass
 class PipelineConfig:
+    """The model, the output directory, the seed and the trial count; every
+    other setting is the model kind's row of KIND_SETTINGS or a constant."""
+
     model: dict
     out_dir: str
     seed: int = 0
     n_trials: int = 100
-    trial_periods: float = 6.0
-    radial_span: tuple[float, float] = (0.75, 1.35)
-    ic_angles: int = 21
-    ic_radii: int = 15
-    single_orders: tuple[int, int] = (4, 5)
-    transform_orders: tuple[int, int] = (4, 5)
-    pair_orders: tuple[int, int, int] = (3, 2, 2)
-    reduced_orders: tuple[int, int, int] = (2, 2, 2)
-    grid_points: int = 4000
-    row_budget: int = 60000
 
     def __post_init__(self):
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise InvalidConfig("out_dir", "must be a non-empty path")
-        for key, low in _INT_MINIMUMS.items():
+        for key, low in (("seed", 0), ("n_trials", 1)):
             value = getattr(self, key)
-            if not (_is_int(value) and value >= low):
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= low):
                 raise InvalidConfig(key, f"must be an integer of at least {low}")
-        if not (is_finite_number(self.trial_periods) and self.trial_periods > 0):
-            raise InvalidConfig("trial_periods", "must be positive")
-        span = self.radial_span
-        if not (len(span) == 2 and all(map(is_finite_number, span)) and 0 < span[0] < span[1]):
-            raise InvalidConfig("radial_span", "need two numbers 0 < lo < hi")
-        for key in ("single_orders", "transform_orders", "pair_orders",
-                    "reduced_orders"):
-            try:
-                if not all(map(_is_int, getattr(self, key))):
-                    raise InvalidConfig(key, "orders must be integers")
-                getattr(self, key.replace("_orders", "_spec"))
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfig(key, str(exc)) from exc
         try:
             models.ModelSpec.from_dict(self.model)
         except Exception as exc:
@@ -136,26 +110,6 @@ class PipelineConfig:
     def model_spec(self) -> models.ModelSpec:
         return models.ModelSpec.from_dict(self.model)
 
-    @property
-    def single_spec(self) -> SingleBasisSpec:
-        return SingleBasisSpec(*self.single_orders)
-
-    @property
-    def transform_spec(self) -> SingleBasisSpec:
-        return SingleBasisSpec(*self.transform_orders)
-
-    @property
-    def pair_spec(self) -> PairBasisSpec:
-        return PairBasisSpec(*self.pair_orders, "observable")
-
-    @property
-    def reduced_spec(self) -> PairBasisSpec:
-        return PairBasisSpec(*self.reduced_orders, "reduced")
-
-    @property
-    def n_gamma(self) -> int:
-        return GAMMA_HARMONICS[self.model["kind"]]
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -163,13 +117,9 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)
         d.pop("schema", None)
-        for key in ("radial_span", "single_orders", "transform_orders",
-                    "pair_orders", "reduced_orders"):
-            if key in d:
-                try:
-                    d[key] = tuple(d[key])
-                except TypeError:
-                    raise InvalidConfig(key, "must be a list of numbers") from None
+        extra = sorted(set(d) - {f.name for f in fields(cls)})
+        if extra:
+            raise InvalidConfig("config", f"unknown keys: {', '.join(map(str, extra))}")
         try:
             return cls(**d)
         except TypeError as exc:
@@ -178,7 +128,7 @@ class PipelineConfig:
 
 def default_config(kind: str, out_dir: str, seed: int = 0) -> PipelineConfig:
     return PipelineConfig(model=models.default_spec(kind).to_dict(),
-                          out_dir=out_dir, seed=seed, **KIND_DEFAULTS[kind])
+                          out_dir=out_dir, seed=seed)
 
 
 def _write(out_dir: str, name: str, doc: dict):
@@ -228,7 +178,7 @@ def stage_limit_cycle(config: PipelineConfig) -> dict:
             seed_state = np.array([0.3, 1.2])
         else:
             seed_state = models.cart_to_polar(models._settle_seed(spec, i), frame)
-        cycle = find_limit_cycle(vf, seed_state, n_gamma=config.n_gamma)
+        cycle = find_limit_cycle(vf, seed_state, n_gamma=KIND_SETTINGS[spec.kind]["n_gamma"])
         cycle = floquet_from_monodromy(vf, jac, cycle)
         oscillators.append({"frame": frame.to_dict(), "cycle": cycle.to_dict()})
     doc = {"kind": spec.kind, "oscillators": oscillators}
@@ -240,10 +190,11 @@ def stage_transforms(config: PipelineConfig) -> dict:
     """Reduced-coordinate sampling and transform fits, one set per oscillator."""
     frames, cycles = _load(config, "limit_cycle")
     vfs = _oscillator_fields(config, frames)
+    settings = KIND_SETTINGS[config.model_spec.kind]
     oscillators = []
     for i, cycle in enumerate(cycles):
-        ics = transforms.generate_ic_grid(cycle, config.ic_angles, config.ic_radii,
-                                          config.radial_span)
+        ics = transforms.generate_ic_grid(cycle, settings["ic_angles"], settings["ic_radii"],
+                                          settings["radial_span"])
         # Independent slope route to the Floquet exponent, for the report:
         # a probe run from 1.2 gamma(0), integrated as one more batch column.
         gamma0 = cycle.gamma_at(0.0)
@@ -251,7 +202,7 @@ def stage_transforms(config: PipelineConfig) -> dict:
         probe = np.zeros((k + 1, 2))
         probe[0, 1] = 1.2 * gamma0
         samples = averaging.reduced_coordinates_batch(vfs[i], cycle, ics, probe)
-        ts = transforms.fit_transform_set(samples, config.transform_spec)
+        ts = transforms.fit_transform_set(samples, settings["transform"])
         traj = Trajectory(np.arange(k + 1) * cycle.step, probe, cycle.step)
         dev = averaging.observable_deviation(traj, cycle)
         lam_slope = averaging.refine_lambda(dev, 0.0)
@@ -267,10 +218,10 @@ def stage_simulate(config: PipelineConfig) -> dict:
     frames, cycles = _load(config, "limit_cycle")
     trials, step = vf_reconstruction.simulate_trial_set(
         config.model_spec, cycles, frames, n_trials=config.n_trials,
-        periods=config.trial_periods, seed=config.seed,
-        radial_span=config.radial_span)
+        periods=TRIAL_PERIODS, seed=config.seed,
+        radial_span=KIND_SETTINGS[config.model_spec.kind]["radial_span"])
     metadata = {"kind": config.model_spec.kind, "seed": config.seed,
-                "n_trials": config.n_trials, "periods": config.trial_periods}
+                "n_trials": config.n_trials, "periods": TRIAL_PERIODS}
     serialize.write_trial_set(os.path.join(config.out_dir, "trials"), trials, step, metadata)
     return {"n_trials": config.n_trials}
 
@@ -281,7 +232,7 @@ def stage_vf(config: PipelineConfig) -> dict:
     nvf = vf_reconstruction.fit_network_vf(vf_reconstruction.pooled_rows(
         serialize.read_trial_set(os.path.join(config.out_dir, "trials"),
                                  config.model_spec.n_oscillators),
-        config.row_budget), config.single_spec, config.pair_spec)
+        ROW_BUDGET), KIND_SETTINGS[config.model_spec.kind]["single"], PAIR_SPEC)
     doc = nvf.to_dict()
     _write(config.out_dir, "network_vf", doc)
     return doc
@@ -297,7 +248,7 @@ def stage_reduce(config: PipelineConfig) -> dict:
              for g in (c.gamma_at(grid) for c in cycles)]
     rc = coupling.reduce_network_coupling(
         nvf, tsets, stats, [c.omega for c in cycles], [c.lam for c in cycles],
-        config.reduced_spec, count=config.grid_points, seed=config.seed + 1)
+        REDUCED_SPEC, count=GRID_POINTS, seed=config.seed + 1)
     doc = rc.to_dict()
     _write(config.out_dir, "reduced_coupling", doc)
 
@@ -363,13 +314,13 @@ def _lambda_rows(cycles, lam_slopes, truths):
                    "lambda_routes_rel")
 
 
-def _transform_rows(config, cycles, tsets, vfs, truths):
+def _transform_rows(spec, cycles, tsets, vfs, truths):
     """Per oscillator: σ and φ against the closed form, then the composition and
     invariance residuals inside the fitted domain, on radii that follow the
     cycle profile so non-circular cycles stay inside the sampled annulus."""
-    ric = config.model_spec.kind == models.RADIAL_ISOCHRON_CLOCK
+    ric = spec.kind == models.RADIAL_ISOCHRON_CLOCK
     th = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
-    u_lo, u_hi = config.radial_span
+    u_lo, u_hi = KIND_SETTINGS[spec.kind]["radial_span"]
     trim = 0.1 * (u_hi - u_lo)
     TH, U = np.meshgrid(th, np.linspace(u_lo + trim, u_hi - trim, 15))
     for i, (cycle, ts, vf) in enumerate(zip(cycles, tsets, vfs)):
@@ -485,7 +436,7 @@ def stage_compare(config: PipelineConfig) -> dict:
     except NoAnalyticForm:
         truths = None
     rows = [*_lambda_rows(cycles, lam_slopes, truths),
-            *_transform_rows(config, cycles, tsets, vfs, truths),
+            *_transform_rows(spec, cycles, tsets, vfs, truths),
             *_field_rows(spec, nvf, vfs, trial),
             *_factorization_rows(spec, rc),
             *_directionality_rows(spec, nvf, rc),

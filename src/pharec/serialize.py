@@ -18,6 +18,7 @@ import os
 import numpy as np
 
 from .errors import IoError
+from .limit_cycle import finite_number, json_object
 from .vf_reconstruction import MIN_SAMPLES, Trial
 
 __all__ = [
@@ -162,10 +163,12 @@ def write_trial_set(out_dir: str, trials: list[Trial], step: float, metadata: di
 
 
 def read_trial_manifest(out_dir: str) -> tuple[list[str], float, dict]:
-    """Trial file paths (at least one, each once), step and metadata of a trials manifest."""
+    """Trial file paths (at least one, each once), step (a finite positive
+    number) and metadata (a JSON object) of a trials manifest."""
     manifest = os.path.join(out_dir, "manifest.json")
     files, step, metadata = decode_json(manifest, "trials", lambda m: (
-        m["files"], m["step"], m["metadata"]))
+        m["files"], finite_number(m["step"], "step", positive=True),
+        json_object(m["metadata"], "metadata")))
     if not (isinstance(files, list) and files and all(isinstance(f, str) for f in files)
             and len(set(files)) == len(files)):
         raise IoError(f"{manifest}: 'files' must be a non-empty list of distinct file names")

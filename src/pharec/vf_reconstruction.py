@@ -18,7 +18,7 @@ from . import models, ode
 from .basis import (FittedSeries, PairBasisSpec, SingleBasisSpec, pair_row,
                     row_slices, series_eval, single_row, spec_from_dict)
 from .errors import InsufficientCoverage, NonUniformSampling, TooShort
-from .limit_cycle import STEPS_PER_PERIOD, LimitCycle
+from .limit_cycle import STEPS_PER_PERIOD, LimitCycle, json_object
 from .ridge import ridge_fit_multi
 
 __all__ = [
@@ -144,7 +144,7 @@ class NetworkVF:
                    pair_spec=spec_from_dict(d["pair_spec"]),
                    uncoupled=FittedSeries.from_table(d["uncoupled"], n, 1, COMPONENTS),
                    coupling=FittedSeries.from_table(d["coupling"], n, 2, COMPONENTS),
-                   diagnostics=d["diagnostics"])
+                   diagnostics=json_object(d["diagnostics"], "diagnostics"))
 
 
 def pooled_rows(trials: list[Trial], row_budget: int):

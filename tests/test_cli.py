@@ -40,7 +40,7 @@ def test_invalid_config_value_is_usage_error(tmp_path):
     from pharec import pipeline, serialize
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
     path = str(tmp_path / "cfg.json")
-    for key, value in (("n_trials", 0), ("pair_orders", [3, 2, 0])):
+    for key, value in (("n_trials", 0), ("seed", 1.5)):
         serialize.write_json(path, dict(doc, **{key: value}), "config")
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_USAGE
 
@@ -61,13 +61,18 @@ def test_config_out_dir_must_be_a_path(tmp_path, capsys, out_dir):
 
 def test_removed_config_keys_are_usage_errors(tmp_path, capsys):
     """A config.json that still holds gamma_harmonics, grid_seed, tolerances
-    or transform_orders: null exits 2 and names the key, both through
-    --config and through compare --from."""
+    or one of the method settings that became per-kind or module constants
+    exits 2 and names the key, both through --config and through compare
+    --from."""
     from pharec import pipeline, serialize
     doc = pipeline.default_config("canonical", str(tmp_path)).to_dict()
     for key, value in (("gamma_harmonics", None), ("grid_seed", None),
                        ("tolerances", dict(pipeline.TOLERANCES)),
-                       ("transform_orders", None)):
+                       ("transform_orders", None), ("trial_periods", 6.0),
+                       ("radial_span", [0.75, 1.35]), ("ic_angles", 21), ("ic_radii", 15),
+                       ("single_orders", [4, 5]), ("transform_orders", [4, 5]),
+                       ("pair_orders", [3, 2, 2]), ("reduced_orders", [2, 2, 2]),
+                       ("grid_points", 4000), ("row_budget", 60000)):
         serialize.write_json(str(tmp_path / "config.json"), dict(doc, **{key: value}),
                              "config")
         for argv in (["simulate", "--config", str(tmp_path / "config.json")],
@@ -440,6 +445,45 @@ def test_compare_rejects_reduced_rates_not_per_oscillator(pipeline_runs, tmp_pat
     assert not (tmp_path / "report.json").exists()
 
 
+_MANIFEST = os.path.join("trials", "manifest.json")
+
+
+@pytest.mark.parametrize("command, name, key, value", [
+    pytest.param("compare", "reduced_coupling.json", "fallback", "abc", id="fallback-string"),
+    pytest.param("compare", "reduced_coupling.json", "fallback", [1, 2, 3], id="fallback-ints"),
+    pytest.param("compare", "reduced_coupling.json", "fallback", [False], id="fallback-one"),
+    pytest.param("compare", "reduced_coupling.json", "fallback", [0, 1], id="fallback-0-1"),
+    pytest.param("compare", "reduced_coupling.json", "diagnostics", 5, id="rc-diagnostics"),
+    pytest.param("compare", "network_vf.json", "diagnostics", 5, id="vf-diagnostics"),
+    pytest.param("compare", "network_vf.json", "diagnostics", [], id="vf-diagnostics-list"),
+    pytest.param("reconstruct-vf", _MANIFEST, "step", "x", id="step-string"),
+    pytest.param("reconstruct-vf", _MANIFEST, "step", 0.0, id="step-zero"),
+    pytest.param("reconstruct-vf", _MANIFEST, "step", float("nan"), id="step-nan"),
+    pytest.param("reconstruct-vf", _MANIFEST, "metadata", 7, id="metadata-number"),
+    pytest.param("compare", _MANIFEST, "metadata", None, id="metadata-null"),
+])
+def test_artifact_value_of_the_wrong_type_is_usage_error(pipeline_runs, tmp_path, capsys,
+                                                         command, name, key, value):
+    """reduced_coupling.json's fallback must be one bool per oscillator, the
+    diagnostics of reduced_coupling.json and network_vf.json JSON objects,
+    and the trials manifest's step a finite positive number and its metadata
+    an object; otherwise the stage exits 2 with one stderr line naming the
+    file and the key, and writes nothing."""
+    output = {"compare": "report.json", "reconstruct-vf": "network_vf.json"}[command]
+    _copy_run(pipeline_runs["canonical"], tmp_path,
+              _ARTIFACTS + ("reduced_coupling.json",) if command == "compare"
+              else ("config.json", _MANIFEST, os.path.join("trials", "trial_0000.npy")))
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / output).exists()
+
+
 def _trial(n_osc: int, rows: int = 200):
     from pharec.vf_reconstruction import Trial
     t = np.arange(rows) * 0.05
@@ -596,20 +640,18 @@ def test_stage_override_recorded_in_config(pipeline_runs, tmp_path):
     manifest = serialize.read_json(str(tmp_path / "trials" / "manifest.json"),
                                    "trials")
     assert manifest["metadata"] == {"kind": "radial_isochron_clock", "n_trials": 1,
-                                    "periods": doc["trial_periods"], "seed": 7}
+                                    "periods": pipeline.TRIAL_PERIODS, "seed": 7}
     _, cycles = pipeline._load(run.config, "limit_cycle")
     assert manifest["step"] == min(c.period for c in cycles) / STEPS_PER_PERIOD
 
 
 def test_overflowing_trial_duration_is_numerical_error(pipeline_runs, tmp_path, capsys):
-    """A trial duration whose step count overflows makes simulate exit 3 with
-    one stderr line, and write no trials."""
-    from pharec import serialize
+    """A cycle period so long that the trials' step count overflows makes
+    simulate exit 3 with one stderr line, and write no trials."""
     _copy_run(pipeline_runs["canonical"], tmp_path, ("config.json", "limit_cycle.json"))
-    doc = serialize.read_json(str(tmp_path / "config.json"), "config")
-    doc.pop("schema")
-    doc.update(trial_periods=1e308, out_dir=str(tmp_path))
-    serialize.write_json(str(tmp_path / "config.json"), doc, "config")
+    doc = json.loads((tmp_path / "limit_cycle.json").read_text())
+    doc["oscillators"][0]["cycle"]["period"] = 1e308
+    (tmp_path / "limit_cycle.json").write_text(json.dumps(doc))
     assert cli.main(["simulate", "--from", str(tmp_path)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "InvalidStep" in err and len(err.splitlines()) == 1

@@ -10,7 +10,20 @@ import pytest
 
 from conftest import MODEL_KINDS
 from pharec import pipeline, serialize, vf_reconstruction
+from pharec.basis import SingleBasisSpec
 from pharec.errors import InvalidConfig
+
+# Old config keys whose values are now the per-kind table or constants, each
+# with one valid and one invalid value of the field it was.
+REMOVED_FIELDS = (("trial_periods", 6.0), ("trial_periods", -1.0),
+                  ("radial_span", [0.75, 1.35]), ("radial_span", [1.4, 0.7]),
+                  ("ic_angles", 21), ("ic_angles", 0), ("ic_radii", 15), ("ic_radii", 0),
+                  ("single_orders", [4, 5]), ("single_orders", [-1, 5]),
+                  ("transform_orders", [4, 5]), ("transform_orders", [4]),
+                  ("pair_orders", [3, 2, 2]), ("pair_orders", [3, 2, 0]),
+                  ("reduced_orders", [2, 2, 2]), ("reduced_orders", [2, -1, 2]),
+                  ("grid_points", 4000), ("grid_points", 3),
+                  ("row_budget", 60000), ("row_budget", 0))
 
 
 def test_default_configs_valid():
@@ -18,31 +31,23 @@ def test_default_configs_valid():
                  "wilson_cowan"):
         config = pipeline.default_config(kind, "/tmp/x")
         assert config.model["kind"] == kind
-        assert config.single_spec.size > 0
-        assert config.transform_spec.size >= config.single_spec.size
-        assert config.n_gamma in (8, 32)
+        settings = pipeline.KIND_SETTINGS[kind]
+        assert settings["single"].size > 0
+        assert settings["transform"].size >= settings["single"].size
+        assert settings["n_gamma"] in (8, 32)
 
 
 def test_config_round_trip():
     config = pipeline.default_config("van_der_pol", "/tmp/x", seed=7)
     again = pipeline.PipelineConfig.from_dict(config.to_dict())
     assert again.to_dict() == config.to_dict()
-    assert again.transform_orders == (7, 12)
+    assert sorted(again.to_dict()) == ["model", "n_trials", "out_dir", "seed"]
+    assert pipeline.KIND_SETTINGS[again.model["kind"]]["transform"] == SingleBasisSpec(7, 12)
 
 
 def test_invalid_values_rejected():
     base = pipeline.default_config("canonical", "/tmp/x").to_dict()
-    for key, value in (("n_trials", 0), ("trial_periods", -1.0),
-                       ("grid_points", 3), ("radial_span", (1.4, 0.7)),
-                       ("ic_angles", 0), ("ic_radii", 0), ("row_budget", 0),
-                       ("single_orders", (-1, 5)), ("transform_orders", (4,)),
-                       ("pair_orders", (3, 2, 0)), ("reduced_orders", (2, -1, 2)),
-                       ("radial_span", (1.0,)), ("radial_span", (0.7, 1.0, 1.4)),
-                       ("radial_span", (0.7, float("nan"))), ("radial_span", 1.0),
-                       ("n_trials", 2.5), ("ic_angles", 21.0), ("row_budget", "60000"),
-                       ("single_orders", (4.5, 5)), ("pair_orders", (3, 2.0, 2)),
-                       ("seed", -1), ("seed", 1.5),
-                       ("trial_periods", float("inf")), ("trial_periods", 10 ** 400),
+    for key, value in (("n_trials", 0), ("n_trials", 2.5), ("seed", -1), ("seed", 1.5),
                        ("n_trials", True)):
         bad = dict(base)
         bad[key] = value
@@ -66,18 +71,25 @@ def test_invalid_values_rejected():
 
 
 def test_removed_knobs_rejected():
-    """The harmonic count follows the model kind, the reduction grid's seed
-    is seed + 1, the report bounds are the constant table and the transform
-    orders are always written out; a config that still sets one of the
-    removed keys, or the old null orders, is rejected by name."""
+    """The harmonic count, basis orders, initial-condition grid and radial
+    span follow the model kind, the trial duration, coupling orders, grid
+    size and row budget are constants, the reduction grid's seed is seed + 1
+    and the report bounds are the constant table; a config that still sets
+    one of the removed keys, to any value, is rejected by name, and one
+    holding several names them all in one error."""
     base = pipeline.default_config("canonical", "/tmp/x").to_dict()
     for key, value in (("grid_seed", None), ("grid_seed", 5), ("grid_seed", -3),
                        ("gamma_harmonics", None), ("gamma_harmonics", 8),
                        ("gamma_harmonics", 0), ("gamma_harmonics", -1),
                        ("tolerances", dict(pipeline.TOLERANCES)), ("tolerances", {}),
-                       ("tolerances", None), ("transform_orders", None)):
+                       ("tolerances", None), ("transform_orders", None),
+                       *REMOVED_FIELDS):
         with pytest.raises(InvalidConfig, match=key):
             pipeline.PipelineConfig.from_dict(dict(base, **{key: value}))
+    old = dict(base, **dict(REMOVED_FIELDS[::2]))
+    with pytest.raises(InvalidConfig) as info:
+        pipeline.PipelineConfig.from_dict(old)
+    assert all(key in str(info.value) for key, _ in REMOVED_FIELDS)
 
 
 def test_pairs_follow_the_coupling_matrix():

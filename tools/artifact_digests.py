@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     try:        # the configs check the seed before anything is written
         configs = {f"pipeline_{kind}": pipeline.default_config(
             kind, os.path.join(args.work_dir, f"pipeline_{kind}"), seed=args.seed)
-            for kind in pipeline.KIND_DEFAULTS}
+            for kind in pipeline.KIND_SETTINGS}
     except InvalidConfig as exc:
         p.error(str(exc))
     os.makedirs(args.work_dir)

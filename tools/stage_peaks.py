@@ -49,7 +49,7 @@ def measure(args: list) -> tuple[int, float, float]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("kind", choices=sorted(pipeline.KIND_DEFAULTS))
+    p.add_argument("kind", choices=sorted(pipeline.KIND_SETTINGS))
     p.add_argument("work_dir")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, help="n_trials (default: the model's)")

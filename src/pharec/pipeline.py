@@ -429,8 +429,8 @@ def stage_compare(config: PipelineConfig) -> dict:
     tsets, lam_slopes = _load(config, "transforms")
     nvf = _load(config, "network_vf")
     rc = _load(config, "reduced_coupling")
-    paths, _, _ = serialize.read_trial_manifest(os.path.join(config.out_dir, "trials"))
-    trial = serialize.read_trial_csv(paths[0], spec.n_oscillators)
+    trial, = serialize.read_trial_set(os.path.join(config.out_dir, "trials"),
+                                      spec.n_oscillators, count=1)
     try:
         truths = [models.analytic_ground_truth(spec, i) for i in range(spec.n_oscillators)]
     except NoAnalyticForm:

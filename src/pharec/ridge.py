@@ -5,11 +5,12 @@ through here: the transformation maps, the network vector field and the
 reduced coupling tensors.  LAPACK's triangular-pentagonal QR (dtpqrt) folds
 each row block of [design | targets] into one small triangular R without
 factoring R again, one block copy at a time (TSQR; Demmel, Grigori, Hoemmen
-& Langou 2012).  The SVD of R's design block gives the design's singular
-values and right singular vectors, and R's target block gives U^T y and each
-target's exact out-of-span residual, so U is never formed.  Per target column
-kappa minimizes the GCV score residual^2 / tau^2 (Golub, Heath & Wahba 1979)
-over a log-spaced grid on the design's spectral scale; tau = N - sum
+& Langou 2012), from a stream of row blocks (``ridge_fit_blocks``), so a
+caller filling its design a slice at a time never holds it whole.  The SVD of R's design block gives the design's singular values and
+right singular vectors, and R's target block gives U^T y and each target's
+exact out-of-span residual, so U is never formed.  Per target column kappa
+minimizes the GCV score residual^2 / tau^2 (Golub, Heath & Wahba 1979) over
+a log-spaced grid on the design's spectral scale; tau = N - sum
 rho_l^2/(rho_l^2 + kappa) is the effective number of residual degrees of freedom.
 """
 
@@ -22,7 +23,7 @@ from scipy.linalg import lapack
 
 from .errors import ShapeMismatch, ZeroDof
 
-__all__ = ["RidgeFit", "ridge_fit", "ridge_fit_multi"]
+__all__ = ["RidgeFit", "ridge_fit", "ridge_fit_blocks", "ridge_fit_multi"]
 
 _RANK_TOL = 1e-14
 _QR_ROWS = 1024               # rows folded into R per dtpqrt call
@@ -78,27 +79,35 @@ def _select(s, u_t_y, perp_sq: float, n_rows: int, grid):
     return best
 
 
-def _r_factor(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The (width x width) R of ``[design | targets]``, one row block at a time."""
-    n_rows, cols = design.shape[0], design.shape[1] + targets.shape[1]
-    r, nb = np.zeros((cols, cols), order="F"), min(_QR_NB, cols)
-    for lo in range(0, n_rows, _QR_ROWS):
-        hi = min(lo + _QR_ROWS, n_rows)
-        block = np.empty((hi - lo, cols), order="F")        # LAPACK's order, as is r
-        np.concatenate([design[lo:hi], targets[lo:hi]], axis=1, out=block)
-        r, _, _, info = lapack.dtpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtpqrt argument {-info} is invalid")
-    return r
+def _r_factor(blocks) -> tuple[np.ndarray, int, int]:
+    """R of [design | targets] over the (design_rows, target_rows) blocks, the
+    design's width and the row count.  A block before the last needs a whole
+    number of _QR_ROWS-row folds, so the dtpqrt calls, and R's bits, are one fold's."""
+    r, n_cols, n_rows = None, 0, 0
+    for design, targets in blocks:
+        design, targets = np.asarray(design, dtype=float), np.asarray(targets, dtype=float)
+        if design.ndim != 2 or targets.ndim != 2 or len(design) != len(targets):
+            raise ShapeMismatch("need 2-d design and target blocks, rows matching")
+        if n_rows % _QR_ROWS:
+            raise ValueError(f"a block before the last is not a multiple of {_QR_ROWS} rows")
+        if r is None:
+            n_cols, width = design.shape[1], design.shape[1] + targets.shape[1]
+            r, nb = np.zeros((width, width), order="F"), min(_QR_NB, width)
+        for lo in range(0, len(design), _QR_ROWS):
+            rows = slice(lo, lo + _QR_ROWS)
+            block = np.empty((len(design[rows]), width), order="F")   # LAPACK's order, as is r
+            np.concatenate([design[rows], targets[rows]], axis=1, out=block)
+            r, _, _, info = lapack.dtpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtpqrt argument {-info} is invalid")
+        n_rows += len(design)
+    return r, n_cols, n_rows
 
 
-def _fits(design, targets, targets_ndim: int) -> list[RidgeFit]:
-    """R, one SVD of R's design block, one GCV fit per target column."""
-    design, targets = np.asarray(design, dtype=float), np.asarray(targets, dtype=float)
-    if design.ndim != 2 or targets.ndim != targets_ndim or len(design) != len(targets):
-        raise ShapeMismatch(f"need a 2-d design and {targets_ndim}-d targets, rows matching")
-    n_rows, n_cols = design.shape
-    r = _r_factor(design, targets[:, None] if targets_ndim == 1 else targets)
+def ridge_fit_blocks(blocks) -> list[RidgeFit]:
+    """GCV ridge fits of each target column over a stream of _r_factor blocks;
+    a block's buffer may be refilled once the next block is asked for."""
+    r, n_cols, n_rows = _r_factor(blocks)
     # design = Q R[:n_cols, :n_cols]; past N rows its singular values are rounding.
     u_r, s, vt = np.linalg.svd(r[:n_cols, :n_cols], full_matrices=False)
     grid = _kappa_grid(s, n_rows, n_cols)
@@ -112,9 +121,9 @@ def _fits(design, targets, targets_ndim: int) -> list[RidgeFit]:
 
 def ridge_fit(design: np.ndarray, targets: np.ndarray) -> RidgeFit:
     """GCV ridge fit of one target vector."""
-    return _fits(design, targets, 1)[0]
+    return ridge_fit_blocks([(design, np.asarray(targets, dtype=float)[..., None])])[0]
 
 
 def ridge_fit_multi(design: np.ndarray, targets: np.ndarray) -> list[RidgeFit]:
     """GCV ridge fits of each target column against one design, one QR."""
-    return _fits(design, targets, 2)
+    return ridge_fit_blocks([(design, targets)])

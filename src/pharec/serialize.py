@@ -175,9 +175,18 @@ def read_trial_manifest(out_dir: str) -> tuple[list[str], float, dict]:
     return [os.path.join(out_dir, f) for f in files], step, metadata
 
 
-def read_trial_set(out_dir: str, n_oscillators: int | None = None) -> list[Trial]:
-    paths, _, _ = read_trial_manifest(out_dir)
-    return [read_trial_csv(path, n_oscillators) for path in paths]
+def read_trial_set(out_dir: str, n_oscillators: int | None = None,
+                   count: int | None = None) -> list[Trial]:
+    """The first ``count`` (all if None) trials of a trials manifest, each
+    with a first time step equal to the manifest's step to rtol 1e-9."""
+    paths, step, _ = read_trial_manifest(out_dir)
+    trials = [read_trial_csv(path, n_oscillators) for path in paths[:count]]
+    for path, trial in zip(paths, trials):
+        h = trial.times[1] - trial.times[0]
+        if not abs(h - step) <= 1e-9 * step:
+            raise IoError(f"{os.path.join(out_dir, 'manifest.json')}: step {step!r}, "
+                          f"but {path} steps by {h!r}")
+    return trials
 
 
 def write_heatmap_csv(path: str, matrix: np.ndarray):

@@ -19,7 +19,7 @@ from .basis import (FittedSeries, PairBasisSpec, SingleBasisSpec, pair_row,
                     row_slices, series_eval, single_row, spec_from_dict)
 from .errors import InsufficientCoverage, NonUniformSampling, TooShort
 from .limit_cycle import STEPS_PER_PERIOD, LimitCycle, json_object
-from .ridge import ridge_fit_multi
+from .ridge import ridge_fit_blocks
 
 __all__ = [
     "Trial",
@@ -35,7 +35,7 @@ __all__ = [
 COMPONENTS = ("theta", "r")
 TRIM = 2                      # samples dropped at each end after differencing
 MIN_SAMPLES = 5               # fewest samples the difference stencils take
-_DESIGN_SLICE = 4096          # design rows filled per basis evaluation
+_DESIGN_SLICE = 4096          # design rows per basis evaluation and QR fold
 
 
 @dataclass(frozen=True)
@@ -177,24 +177,27 @@ def fit_network_vf(rows, single_spec: SingleBasisSpec,
     """Fit the uncoupled-plus-pairwise network field to ``pooled_rows`` output."""
     th, r, dth, dr = rows
     _check_coverage(th)
-    n_osc = th.shape[1]
+    n_rows, n_osc = th.shape
     uncoupled, coupling, diagnostics = {}, {}, {}
-    # One design buffer for every oscillator, refilled block by block and a
-    # slice of rows at a time, so no second design or all-row temporary lives.
-    design = np.empty((th.shape[0],
-                       single_spec.size + (n_osc - 1) * pair_spec.size))
+    # One slice buffer (a lone last row joins the slice before it), each slice
+    # folded into the ridge QR before the next is filled: no design is whole.
+    buf = np.empty((_DESIGN_SLICE + 1, single_spec.size + (n_osc - 1) * pair_spec.size))
+
+    def design_slices(i, blocks):
+        for sl in row_slices(n_rows, _DESIGN_SLICE):
+            design = buf[:sl.stop - sl.start]
+            design[:, :single_spec.size] = single_row(single_spec, th[sl, i], r[sl, i])
+            for j, lo in blocks:
+                design[:, lo:lo + pair_spec.size] = pair_row(
+                    pair_spec, th[sl, i], r[sl, i], th[sl, j], r[sl, j])
+            yield design, np.stack([dth[sl, i], dr[sl, i]], axis=1)
+
     for i in range(n_osc):
         others = [j for j in range(n_osc) if j != i]
         # (oscillator j, first column of its pairwise block)
         blocks = [(j, single_spec.size + pos * pair_spec.size)
                   for pos, j in enumerate(others)]
-        for sl in row_slices(design.shape[0], _DESIGN_SLICE):
-            design[sl, :single_spec.size] = single_row(single_spec, th[sl, i], r[sl, i])
-            for j, lo in blocks:
-                design[sl, lo:lo + pair_spec.size] = pair_row(
-                    pair_spec, th[sl, i], r[sl, i], th[sl, j], r[sl, j])
-        targets = np.stack([dth[:, i], dr[:, i]], axis=1)
-        fits = ridge_fit_multi(design, targets)
+        fits = ridge_fit_blocks(design_slices(i, blocks))
         for comp, fit in zip(COMPONENTS, fits):
             q = fit.coefficients
             uncoupled[(i, comp)] = FittedSeries(single_spec, q[:single_spec.size])
@@ -203,8 +206,7 @@ def fit_network_vf(rows, single_spec: SingleBasisSpec,
                     pair_spec, q[lo:lo + pair_spec.size])
             diagnostics[f"{i}:{comp}"] = {
                 "kappa": fit.kappa, "gcv": fit.gcv_value,
-                "residual_norm": fit.residual_norm,
-                "rows": int(design.shape[0]),
+                "residual_norm": fit.residual_norm, "rows": int(n_rows),
             }
     return NetworkVF(n_oscillators=n_osc, single_spec=single_spec,
                      pair_spec=pair_spec, uncoupled=uncoupled,

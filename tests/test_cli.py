@@ -484,6 +484,30 @@ def test_artifact_value_of_the_wrong_type_is_usage_error(pipeline_runs, tmp_path
     assert not (tmp_path / output).exists()
 
 
+@pytest.mark.parametrize("step", [0.123, "off_by_1e-7"])
+@pytest.mark.parametrize("command, output", [("reconstruct-vf", "network_vf.json"),
+                                             ("compare", "report.json")])
+def test_manifest_step_must_match_the_trials(pipeline_runs, tmp_path, capsys,
+                                             command, output, step):
+    """A trials manifest whose step differs from its trial's time step by
+    more than rtol 1e-9 (0.123 against about 0.00105, or 1e-7 relative)
+    exits 2 with one line naming the manifest and the trial file, and the
+    stage writes nothing."""
+    _copy_run(pipeline_runs["canonical"], tmp_path,
+              _ARTIFACTS + ("reduced_coupling.json",) if command == "compare"
+              else ("config.json", _MANIFEST, os.path.join("trials", "trial_0000.npy")))
+    manifest = tmp_path / _MANIFEST
+    doc = json.loads(manifest.read_text())
+    doc["files"] = ["trial_0000.npy"]
+    doc["step"] = step if isinstance(step, float) else doc["step"] * (1.0 + 1e-7)
+    manifest.write_text(json.dumps(doc))
+    assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(manifest) in err and str(tmp_path / "trials" / "trial_0000.npy") in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / output).exists()
+
+
 def _trial(n_osc: int, rows: int = 200):
     from pharec.vf_reconstruction import Trial
     t = np.arange(rows) * 0.05

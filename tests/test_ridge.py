@@ -233,7 +233,7 @@ def test_streamed_r_matches_one_shot_qr():
     n_cols = [12, 12, 12, 12, ridge._QR_ROWS + 8]
     for n, m in zip([13, *block_row_counts(), 2 * ridge._QR_ROWS + 7], n_cols):
         design, targets = rng.normal(size=(n, m)), rng.normal(size=(n, 2))
-        r = ridge._r_factor(design, targets)
+        r, _, _ = ridge._r_factor([(design, targets)])
         ref = np.linalg.qr(np.hstack([design, targets]), mode="r")
         assert r.shape == (m + 2, m + 2) and ref.shape == (min(n, m + 2), m + 2)
         top = r[:len(ref)]
@@ -255,3 +255,44 @@ def test_non_finite_design_raises_lin_alg_error():
             ridge.ridge_fit(design, rng.normal(size=n))
         with pytest.raises(np.linalg.LinAlgError):
             ridge.ridge_fit_multi(design, rng.normal(size=(n, 2)))
+
+
+def refilled_blocks(design, targets, rows):
+    """``rows``-row blocks of [design | targets], each handed out in the same
+    two buffers, refilled only when the next block is asked for."""
+    d_buf = np.empty((rows, design.shape[1]))
+    t_buf = np.empty((rows, targets.shape[1]))
+    for lo in range(0, len(design), rows):
+        n = len(design[lo:lo + rows])
+        d_buf[:n], t_buf[:n] = design[lo:lo + rows], targets[lo:lo + rows]
+        yield d_buf[:n], t_buf[:n]
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1025, 4097, 9000])
+def test_streamed_blocks_keep_the_bits_of_one_fold(n):
+    """R and the fits of [design | targets] streamed in 4,096-row blocks
+    through refilled buffers are byte-equal to one fold of every row."""
+    rng = np.random.default_rng(n)
+    design, targets = rng.normal(size=(n, 30)), rng.normal(size=(n, 2))
+    targets += design @ rng.normal(size=(30, 2))
+    r, n_cols, n_rows = ridge._r_factor(refilled_blocks(design, targets, 4096))
+    r_ref, _, _ = ridge._r_factor([(design, targets)])
+    assert (n_cols, n_rows) == (30, n) and r.tobytes() == r_ref.tobytes()
+    streamed = ridge.ridge_fit_blocks(refilled_blocks(design, targets, 4096))
+    for got, want in zip(streamed, ridge.ridge_fit_multi(design, targets), strict=True):
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert (got.kappa, got.gcv_value, got.residual_norm) == (
+            want.kappa, want.gcv_value, want.residual_norm)
+
+
+def test_block_before_the_last_must_be_whole_qr_blocks():
+    """A non-last block of 1,000 rows would shift the dtpqrt block grid
+    against one fold of every row, so it raises ValueError."""
+    rng = np.random.default_rng(29)
+    design, targets = rng.normal(size=(3000, 6)), rng.normal(size=(3000, 2))
+    with pytest.raises(ValueError, match="1024"):
+        ridge.ridge_fit_blocks([(design[:1000], targets[:1000]),
+                                (design[1000:], targets[1000:])])
+    # The last block may have any row count.
+    ridge.ridge_fit_blocks([(design[:2048], targets[:2048]),
+                            (design[2048:], targets[2048:])])

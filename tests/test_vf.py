@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pharec import pipeline, ridge
 from pharec import vf_reconstruction as vfr
 from pharec.basis import PairBasisSpec, SingleBasisSpec
 from pharec.errors import InsufficientCoverage, NonUniformSampling, TooShort
@@ -216,3 +217,33 @@ def test_design_fill_keeps_basis_temporaries_to_one_slice():
     finally:
         tracemalloc.stop()
     assert peak < design_bytes + margin
+
+
+def test_design_slices_are_whole_qr_blocks():
+    """Every design slice but the last goes to the ridge QR as a block before
+    the last, so it must be whole dtpqrt blocks."""
+    assert vfr._DESIGN_SLICE % ridge._QR_ROWS == 0
+
+
+def fit_peak(n_rows: int) -> int:
+    """tracemalloc peak of fit_network_vf over n_rows random pooled rows of
+    two oscillators at the canonical orders, the rows made beforehand."""
+    rng = np.random.default_rng(n_rows)
+    rows = (rng.uniform(0.0, 2.0 * np.pi, size=(n_rows, 2)),
+            rng.uniform(0.8, 1.2, size=(n_rows, 2)),
+            rng.normal(size=(n_rows, 2)), rng.normal(size=(n_rows, 2)))
+    tracemalloc.start()
+    try:
+        vfr.fit_network_vf(rows, pipeline.KIND_SETTINGS["canonical"]["single"],
+                           pipeline.PAIR_SPEC)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_peak_does_not_grow_with_the_design():
+    """The design is folded into the QR a slice at a time, so twice the rows
+    add less to the fit's peak than a tenth of the smaller design."""
+    width = pipeline.KIND_SETTINGS["canonical"]["single"].size + pipeline.PAIR_SPEC.size
+    design_bytes = 8 * 40_000 * width
+    assert fit_peak(80_000) - fit_peak(40_000) < design_bytes / 10

@@ -1,21 +1,23 @@
 """Print the peak RSS and wall time of each pipeline stage, each in a fresh process.
 
-    python3 tools/stage_peaks.py KIND WORK_DIR [--seed 42] [--trials N]
+    python3 tools/stage_peaks.py KIND WORK_DIR [--seed 42] [--trials N] [--repeat R]
 
 Writes the default config of model KIND (at the seed, with N trials when
 given) to WORK_DIR/config.json, then runs ``python -m pharec.cli STAGE
 --from WORK_DIR`` for each of the six stages in order, each with one
 BLAS/OpenMP thread. Prints one line per stage with the process's peak
 resident set (``ru_maxrss``, MB) and wall time, after one line for a process
-that only imports the CLI. Artifacts, config and all, go to WORK_DIR and
-nowhere else (no bytecode is cached). Exits 1 when a stage fails; the
-report rows of ``compare`` failing their bounds (exit 1) only shows in its
-line.
+that only imports the CLI. With ``--repeat R`` (default 1) each line runs R
+times, each in a fresh process, and prints the median peak and wall time.
+Artifacts, config and all, go to WORK_DIR and nowhere else (no bytecode is
+cached). Exits 1 when a stage fails; the report rows of ``compare`` failing
+their bounds (exit 1) only shows in its line.
 """
 
 import argparse
 import dataclasses
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -47,12 +49,21 @@ def measure(args: list) -> tuple[int, float, float]:
     return proc.returncode, usage.ru_maxrss / 1024.0, time.monotonic() - t0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("kind", choices=sorted(pipeline.KIND_SETTINGS))
     p.add_argument("work_dir")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, help="n_trials (default: the model's)")
+    p.add_argument("--repeat", type=positive_int, default=1,
+                   help="fresh processes per stage; prints the medians (default 1)")
     args = p.parse_args(argv)
     try:
         config = pipeline.default_config(args.kind, os.path.abspath(args.work_dir),
@@ -67,10 +78,12 @@ def main(argv=None) -> int:
         (stage, ["-m", "pharec.cli", stage, "--from", config.out_dir])
         for stage in cli.STAGES]
     for name, cmd in runs:
-        code, peak, wall = measure(cmd)
-        print(f"{name:<16} {peak:8.1f} {wall:7.2f}  {code}", flush=True)
-        if code != cli.EXIT_PASS and not (name == "compare"
-                                          and code == cli.EXIT_TOLERANCE):
+        codes, peaks, walls = zip(*(measure(cmd) for _ in range(args.repeat)))
+        failed = [code for code in codes if code != cli.EXIT_PASS and not (
+            name == "compare" and code == cli.EXIT_TOLERANCE)]
+        print(f"{name:<16} {statistics.median(peaks):8.1f} "
+              f"{statistics.median(walls):7.2f}  {(failed or codes)[0]}", flush=True)
+        if failed:
             return 1
     return 0
 

@@ -3,15 +3,16 @@
 Every fitted map but the limit-cycle profile (plain least squares) goes
 through here: the transformation maps, the network vector field and the
 reduced coupling tensors.  LAPACK's triangular-pentagonal QR (dtpqrt) folds
-each row block of [design | targets] into one small triangular R without
-factoring R again, one block copy at a time (TSQR; Demmel, Grigori, Hoemmen
-& Langou 2012), from a stream of row blocks (``ridge_fit_blocks``), so a
-caller filling its design a slice at a time never holds it whole.  The SVD of R's design block gives the design's singular values and
-right singular vectors, and R's target block gives U^T y and each target's
-exact out-of-span residual, so U is never formed.  Per target column kappa
-minimizes the GCV score residual^2 / tau^2 (Golub, Heath & Wahba 1979) over
-a log-spaced grid on the design's spectral scale; tau = N - sum
-rho_l^2/(rho_l^2 + kappa) is the effective number of residual degrees of freedom.
+[design | targets] into one small triangular R, 1,024 rows at a time, without
+factoring R again (TSQR; Demmel, Grigori, Hoemmen & Langou 2012).  The rows
+can come as a stream of blocks (``ridge_fit_blocks``), so no caller need hold
+its whole design; blocks of whole 1,024-row folds keep one fold's bits.  The
+SVD of R's design block gives the design's singular values and right singular
+vectors, and R's target block gives U^T y and each target's exact out-of-span
+residual, so U is never formed.  Per target column kappa minimizes the GCV
+score residual^2 / tau^2 (Golub, Heath & Wahba 1979) over a log-spaced grid
+on the design's spectral scale; tau = N - sum rho_l^2/(rho_l^2 + kappa) is
+the effective number of residual degrees of freedom.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ def _select(s, u_t_y, perp_sq: float, n_rows: int, grid):
 
 
 def _r_factor(blocks) -> tuple[np.ndarray, int, int]:
-    """R of [design | targets] over the (design_rows, target_rows) blocks, the
-    design's width and the row count.  A block before the last needs a whole
-    number of _QR_ROWS-row folds, so the dtpqrt calls, and R's bits, are one fold's."""
+    """R of [design | targets] over (design_rows, target_rows) blocks, the design's
+    width and the row count; a block before the last must be whole _QR_ROWS folds."""
     r, n_cols, n_rows = None, 0, 0
     for design, targets in blocks:
         design, targets = np.asarray(design, dtype=float), np.asarray(targets, dtype=float)

@@ -177,8 +177,7 @@ def read_trial_manifest(out_dir: str) -> tuple[list[str], float, dict]:
 
 def read_trial_set(out_dir: str, n_oscillators: int | None = None,
                    count: int | None = None) -> list[Trial]:
-    """The first ``count`` (all if None) trials of a trials manifest, each
-    with a first time step equal to the manifest's step to rtol 1e-9."""
+    """The first ``count`` (all if None) trials, each at the manifest's step."""
     paths, step, _ = read_trial_manifest(out_dir)
     trials = [read_trial_csv(path, n_oscillators) for path in paths[:count]]
     for path, trial in zip(paths, trials):

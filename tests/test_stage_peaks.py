@@ -51,4 +51,3 @@ def test_invalid_config_is_a_usage_error_that_writes_nothing(tmp_path, args):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
     assert os.listdir(tmp_path) == []
-

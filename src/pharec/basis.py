@@ -103,9 +103,8 @@ class PairBasisSpec:
 
 
 def spec_from_dict(d: dict):
-    if d["type"] == "single":
-        return SingleBasisSpec(d["n_max"], d["k_max"])
-    return PairBasisSpec(d["m_max"], d["ki_max"], d["kj_max"], d["mode"])
+    fields = {key: value for key, value in d.items() if key != "type"}
+    return {"single": SingleBasisSpec, "pair": PairBasisSpec}[d["type"]](**fields)
 
 
 @dataclass(frozen=True)
@@ -269,8 +268,9 @@ class FittedSeries:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if len(self.coefficients) != self.spec.size:
-            raise ValueError("coefficient length must equal basis size")
+        c = self.coefficients
+        if np.shape(c) != (self.spec.size,) or not np.isfinite(c).all():
+            raise ValueError(f"coefficients must be {self.spec.size} finite numbers in a flat list")
 
     def coefficient(self, **kwargs) -> float:
         """Look up one coefficient by term attributes, e.g. (n=1, k=0)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import FittedSeries, PairBasisSpec, pair_row, spec_from_dict
+from .basis import FittedSeries, PairBasisSpec, pair_row
 from .errors import EmptyRadiusData, InsufficientSamples, UnknownPair
 from .limit_cycle import finite_numbers, json_object
 from .ridge import ridge_fit
@@ -116,8 +116,7 @@ class ReducedCoupling:
     """Reduced-space coupling tensors plus the per-oscillator (omega, lambda)."""
 
     n_oscillators: int
-    spec: PairBasisSpec
-    series: dict               # (i, j, equation) -> FittedSeries
+    series: dict               # (i, j, equation) -> FittedSeries, each with its spec
     omega: list[float]
     lam: list[float]
     fallback: list[bool]       # per oscillator: radius grid from the fallback range
@@ -126,7 +125,6 @@ class ReducedCoupling:
     def to_dict(self) -> dict:
         return {
             "n_oscillators": self.n_oscillators,
-            "spec": self.spec.to_dict(),
             "series": FittedSeries.to_table(self.series),
             "omega": list(self.omega),
             "lam": list(self.lam),
@@ -142,7 +140,7 @@ class ReducedCoupling:
         if not (isinstance(fallback, list) and len(fallback) == n
                 and all(isinstance(f, bool) for f in fallback)):
             raise ValueError(f"fallback must be {n} booleans, not {fallback!r}")
-        return cls(n_oscillators=n, spec=spec_from_dict(d["spec"]), omega=omega, lam=lam,
+        return cls(n_oscillators=n, omega=omega, lam=lam,
                    series=FittedSeries.from_table(d["series"], n, 2, EQUATIONS),
                    fallback=fallback, diagnostics=json_object(d["diagnostics"], "diagnostics"))
 
@@ -163,9 +161,8 @@ def reduce_network_coupling(nvf: NetworkVF, transform_sets: list[TransformSet],
             for eq in EQUATIONS:
                 series[(i, j, eq)] = fitted[eq]
             diagnostics[f"{i}:{j}"] = fitted["diagnostics"]
-    return ReducedCoupling(n_oscillators=nvf.n_oscillators, spec=reduced_spec,
-                           series=series, omega=list(omega), lam=list(lam),
-                           fallback=[bool(f) for f in fallback],
+    return ReducedCoupling(n_oscillators=nvf.n_oscillators, series=series, omega=list(omega),
+                           lam=list(lam), fallback=[bool(f) for f in fallback],
                            diagnostics=diagnostics)
 
 
@@ -181,8 +178,7 @@ def heatmap_layout(rc: ReducedCoupling, i: int, j: int, equation: str) -> dict:
     key = (i, j, equation)
     if key not in rc.series:
         raise UnknownPair(f"no reduced coupling for pair {i}->{j} ({equation})")
-    spec = rc.spec
-    coeffs = rc.series[key].coefficients
+    spec, coeffs = rc.series[key].spec, rc.series[key].coefficients
     row_labels = ["1"] + [f"{t} {k}phi_i" for k in range(1, spec.ki_max + 1)
                           for t in ("cos", "sin")]
     col_labels = [f"{t} {k}phi_j" for k in range(1, spec.kj_max + 1)

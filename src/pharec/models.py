@@ -48,15 +48,25 @@ CANONICAL = "canonical"
 VAN_DER_POL = "van_der_pol"
 WILSON_COWAN = "wilson_cowan"
 
-_POLAR_KINDS = (RADIAL_ISOCHRON_CLOCK, CANONICAL)
-_CARTESIAN_KINDS = (VAN_DER_POL, WILSON_COWAN)
-# Parameter names of each kind; every parameter takes one value per oscillator.
-_PARAM_NAMES = {
-    RADIAL_ISOCHRON_CLOCK: ("a",),
-    CANONICAL: ("a", "alpha"),
-    VAN_DER_POL: ("mu",),
-    WILSON_COWAN: ("a", "b", "c", "d", "rho_x", "rho_y"),
+# Per kind: native coordinates, each parameter's default values for
+# oscillators 0 and 1, and the default strength of the drive 0 -> 1 (the
+# clock's a = 1 for the driver makes the amplitude scaling the identity).
+_KINDS = {
+    RADIAL_ISOCHRON_CLOCK: ("polar", {"a": (1.0, 0.7)}, 0.3),
+    CANONICAL: ("polar", {"a": (1.2, 1.0), "alpha": (1.5, 2.0)}, 0.3),
+    VAN_DER_POL: ("cartesian", {"mu": (0.3, 0.5)}, 0.1),
+    WILSON_COWAN: ("cartesian", {"a": (10.0, 10.0), "b": (10.0, 10.0), "c": (10.0, 10.0),
+                                 "d": (-2.0, -2.0), "rho_x": (0.0, 0.0),
+                                 "rho_y": (-6.75, -7.0)}, 1.0),
 }
+_POLAR_KINDS = tuple(kind for kind, row in _KINDS.items() if row[0] == "polar")
+
+
+def _kind_row(kind: str) -> tuple:
+    """``kind``'s row of _KINDS, else UnknownKind."""
+    if kind not in _KINDS:
+        raise UnknownKind(f"unknown model kind {kind!r}")
+    return _KINDS[kind]
 
 
 def sigmoid(z):
@@ -77,13 +87,11 @@ class ModelSpec:
     coupling: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in _PARAM_NAMES:
-            raise UnknownKind(f"unknown model kind {self.kind!r}")
+        names = _kind_row(self.kind)[1]
         self.coupling = np.asarray(self.coupling, dtype=float)
         n = self.coupling.shape[0] if self.coupling.ndim == 2 else -1
         if self.coupling.shape != (n, n):
             raise ValueError("coupling matrix must be square")
-        names = _PARAM_NAMES[self.kind]
         if sorted(self.params) != sorted(names) or any(
                 a.shape != (n,) or a.dtype.kind not in "iuf" or not np.isfinite(a).all()
                 for a in map(np.asarray, self.params.values())):
@@ -125,32 +133,12 @@ class ModelSpec:
 
 def default_spec(kind: str) -> ModelSpec:
     """Two uni-directionally coupled oscillators; oscillator 0 drives 1."""
-    if kind == RADIAL_ISOCHRON_CLOCK:
-        # Simulation parameters chosen for this toolkit (a=1 for the driver
-        # makes the amplitude-scaling convention the identity).
-        eps = np.array([[0.0, 0.0], [0.3, 0.0]])
-        return ModelSpec(kind, {"a": (1.0, 0.7)}, eps)
-    if kind == CANONICAL:
-        eps = np.array([[0.0, 0.0], [0.3, 0.0]])
-        return ModelSpec(kind, {"a": (1.2, 1.0), "alpha": (1.5, 2.0)}, eps)
-    if kind == VAN_DER_POL:
-        eps = np.array([[0.0, 0.0], [0.1, 0.0]])
-        return ModelSpec(kind, {"mu": (0.3, 0.5)}, eps)
-    if kind == WILSON_COWAN:
-        eps = np.array([[0.0, 0.0], [1.0, 0.0]])
-        return ModelSpec(kind, {
-            "a": (10.0, 10.0), "b": (10.0, 10.0), "c": (10.0, 10.0),
-            "d": (-2.0, -2.0), "rho_x": (0.0, 0.0), "rho_y": (-6.75, -7.0),
-        }, eps)
-    raise UnknownKind(f"unknown model kind {kind!r}")
+    _, params, eps = _kind_row(kind)
+    return ModelSpec(kind, dict(params), np.array([[0.0, 0.0], [eps, 0.0]]))
 
 
 def native_coords(kind: str) -> str:
-    if kind in _POLAR_KINDS:
-        return "polar"
-    if kind in _CARTESIAN_KINDS:
-        return "cartesian"
-    raise UnknownKind(f"unknown model kind {kind!r}")
+    return _kind_row(kind)[0]
 
 
 def wc_equilibrium(spec: ModelSpec, i: int) -> tuple[float, float]:

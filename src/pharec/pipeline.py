@@ -132,6 +132,7 @@ def default_config(kind: str, out_dir: str, seed: int = 0) -> PipelineConfig:
 
 
 def _write(out_dir: str, name: str, doc: dict):
+    serialize.make_dir(out_dir)
     serialize.write_json(os.path.join(out_dir, f"{name}.json"), doc, name)
 
 
@@ -155,13 +156,15 @@ _DECODERS = {
 
 def _load(config: PipelineConfig, name: str):
     """The decoded ``<name>.json`` of the run directory; one whose oscillator
-    count is not the model's is malformed, an IoError naming the file."""
-    n = config.model_spec.n_oscillators
+    count or recorded ``kind`` is not the model's is malformed, an IoError naming the file."""
+    spec = config.model_spec
 
     def decode(doc):
         count = doc["n_oscillators"] if "n_oscillators" in doc else len(doc["oscillators"])
-        if count != n:
-            raise ValueError(f"{count} oscillators, but the model has {n}")
+        if count != spec.n_oscillators:
+            raise ValueError(f"{count} oscillators, but the model has {spec.n_oscillators}")
+        if name == "limit_cycle" and doc["kind"] != spec.kind:
+            raise ValueError(f"recorded for {doc['kind']!r}, but the model is {spec.kind!r}")
         return _DECODERS[name](doc)
     return serialize.decode_json(os.path.join(config.out_dir, f"{name}.json"), name, decode)
 
@@ -169,7 +172,6 @@ def _load(config: PipelineConfig, name: str):
 def stage_limit_cycle(config: PipelineConfig) -> dict:
     """Locate each oscillator's cycle, fit its profile, attach the Floquet data."""
     spec = config.model_spec
-    os.makedirs(config.out_dir, exist_ok=True)
     oscillators = []
     for i, frame in enumerate(models.estimate_frame(spec)):
         vf = models.polar_uncoupled_vf(spec, i, frame)
@@ -253,7 +255,7 @@ def stage_reduce(config: PipelineConfig) -> dict:
     _write(config.out_dir, "reduced_coupling", doc)
 
     heat_dir = os.path.join(config.out_dir, "heatmaps")
-    os.makedirs(heat_dir, exist_ok=True)
+    serialize.make_dir(heat_dir)
     manifest = {"panels": []}
     for (i, j, eq) in sorted(rc.series):
         layout = coupling.heatmap_layout(rc, i, j, eq)
@@ -375,8 +377,8 @@ def _factorization_rows(spec, rc):
     """On van der Pol, the leading singular value's share of the energy of each
     driven pair's reduced φ coupling, its panels tiled by (σ_i, σ_j) powers up
     to m_max; a floor."""
-    powers = range(rc.spec.m_max + 1)
     for i, j in _pairs(spec.coupling)[0] if spec.kind == models.VAN_DER_POL else ():
+        powers = range(rc.series[(i, j, "phi")].spec.m_max + 1)
         panels = coupling.heatmap_layout(rc, i, j, "phi")["panels"]
         mat = np.block([[panels[(mi, mj)] for mj in powers] for mi in powers])
         sv = np.linalg.svd(mat, compute_uv=False)
@@ -448,7 +450,6 @@ def stage_compare(config: PipelineConfig) -> dict:
 
 def write_config(config: PipelineConfig):
     """Record the effective configuration as config.json in the output directory."""
-    os.makedirs(config.out_dir, exist_ok=True)
     _write(config.out_dir, "config", config.to_dict())
 
 

@@ -22,6 +22,7 @@ from .limit_cycle import finite_number, json_object
 from .vf_reconstruction import MIN_SAMPLES, Trial
 
 __all__ = [
+    "make_dir",
     "write_json",
     "read_json",
     "decode_json",
@@ -36,6 +37,14 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+
+def make_dir(path: str):
+    """``os.makedirs(path, exist_ok=True)``; an OSError is an IoError naming ``path``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc
 
 
 def write_json(path: str, payload: dict, schema: str):
@@ -74,17 +83,10 @@ def decode_json(path: str, schema: str, decode):
 
 
 def write_rows(path: str, rows, header: list[str] | None = None):
-    """Write a 2-d array as CSV, each value as ``%.17g``, under an optional
-    header line of column names (the bytes of ``np.savetxt``, formatted by
-    one ``%`` operation instead of one per row)."""
-    rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    text = line * rows.shape[0] % tuple(rows.ravel())
+    """Write a 2-d array as CSV, each value as ``%.17g``, under an optional header."""
     try:
-        with open(path, "w") as fh:
-            if header:
-                fh.write(",".join(header) + "\n")
-            fh.write(text)
+        np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",",
+                   header=",".join(header or []), comments="")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -151,7 +153,7 @@ def read_trial_csv(path: str, n_oscillators: int | None = None) -> Trial:
 
 
 def write_trial_set(out_dir: str, trials: list[Trial], step: float, metadata: dict) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     paths = []
     for p, trial in enumerate(trials):
         path = os.path.join(out_dir, f"trial_{p:04d}.npy")

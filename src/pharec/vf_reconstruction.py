@@ -16,7 +16,7 @@ import numpy as np
 
 from . import models, ode
 from .basis import (FittedSeries, PairBasisSpec, SingleBasisSpec, pair_row,
-                    row_slices, series_eval, single_row, spec_from_dict)
+                    row_slices, series_eval, single_row)
 from .errors import InsufficientCoverage, NonUniformSampling, TooShort
 from .limit_cycle import STEPS_PER_PERIOD, LimitCycle, json_object
 from .ridge import ridge_fit_blocks
@@ -120,17 +120,13 @@ class NetworkVF:
     """Fitted uncoupled series plus pairwise coupling series per oscillator."""
 
     n_oscillators: int
-    single_spec: SingleBasisSpec
-    pair_spec: PairBasisSpec
-    uncoupled: dict            # (i, component) -> FittedSeries
-    coupling: dict             # (i, j, component) -> FittedSeries
+    uncoupled: dict            # (i, component) -> FittedSeries, each with its spec
+    coupling: dict             # (i, j, component) -> FittedSeries, each with its spec
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "n_oscillators": self.n_oscillators,
-            "single_spec": self.single_spec.to_dict(),
-            "pair_spec": self.pair_spec.to_dict(),
             "uncoupled": FittedSeries.to_table(self.uncoupled),
             "coupling": FittedSeries.to_table(self.coupling),
             "diagnostics": self.diagnostics,
@@ -140,8 +136,6 @@ class NetworkVF:
     def from_dict(cls, d: dict) -> "NetworkVF":
         n = d["n_oscillators"]
         return cls(n_oscillators=n,
-                   single_spec=spec_from_dict(d["single_spec"]),
-                   pair_spec=spec_from_dict(d["pair_spec"]),
                    uncoupled=FittedSeries.from_table(d["uncoupled"], n, 1, COMPONENTS),
                    coupling=FittedSeries.from_table(d["coupling"], n, 2, COMPONENTS),
                    diagnostics=json_object(d["diagnostics"], "diagnostics"))
@@ -208,9 +202,8 @@ def fit_network_vf(rows, single_spec: SingleBasisSpec,
                 "kappa": fit.kappa, "gcv": fit.gcv_value,
                 "residual_norm": fit.residual_norm, "rows": int(n_rows),
             }
-    return NetworkVF(n_oscillators=n_osc, single_spec=single_spec,
-                     pair_spec=pair_spec, uncoupled=uncoupled,
-                     coupling=coupling, diagnostics=diagnostics)
+    return NetworkVF(n_oscillators=n_osc, uncoupled=uncoupled, coupling=coupling,
+                     diagnostics=diagnostics)
 
 
 def eval_uncoupled(nvf: NetworkVF, i: int, theta, radius) -> np.ndarray:

@@ -133,8 +133,7 @@ def test_fitted_maps_are_series_eval_bit_for_bit():
 
     ts = transforms.TransformSet(*(fitted(single) for _ in range(4)),
                                  r_domain=(0.8, 1.3), sigma_domain=(-0.3, 0.3))
-    nvf = vfr.NetworkVF(2, single, pair,
-                        uncoupled={(0, c): fitted(single) for c in vfr.COMPONENTS},
+    nvf = vfr.NetworkVF(2, uncoupled={(0, c): fitted(single) for c in vfr.COMPONENTS},
                         coupling={(0, 1, c): fitted(pair) for c in vfr.COMPONENTS})
     batch = [rng.uniform(0.0, 2 * np.pi, (13, 7)), rng.uniform(0.8, 1.3, (13, 7))]
     for th, r in (batch, (0.7, 1.1)):
@@ -178,6 +177,12 @@ def test_series_round_trip_and_arity():
     assert again.spec == spec
     with pytest.raises(ArityMismatch):
         basis.series_eval(series, 0.1, 1.0)
+    # A spec decodes from its own fields: an unknown type or field is an error.
+    for bad, error in (({"type": "triple"}, KeyError), ({"n_max": 1}, TypeError),
+                       ({"extra": 0}, TypeError)):
+        with pytest.raises(error):
+            basis.FittedSeries.from_dict(dict(series.to_dict(),
+                                              spec=dict(spec.to_dict(), **bad)))
 
 
 def test_series_table_holds_exactly_every_oscillator_or_pair():
@@ -204,8 +209,12 @@ def test_series_table_holds_exactly_every_oscillator_or_pair():
 
 
 def test_coefficient_length_validated():
-    with pytest.raises(ValueError):
-        basis.FittedSeries(basis.SingleBasisSpec(1, 1), np.zeros(2))
+    """Coefficients are one flat vector of the basis size, every entry finite."""
+    spec = basis.SingleBasisSpec(1, 1)
+    for bad in (np.zeros(2), np.zeros((spec.size, 1)), np.r_[np.zeros(spec.size - 1), np.nan],
+                np.r_[np.zeros(spec.size - 1), np.inf]):
+        with pytest.raises(ValueError):
+            basis.FittedSeries(spec, bad)
 
 
 def test_harmonics_match_long_double_at_large_angles():

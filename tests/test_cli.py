@@ -461,21 +461,33 @@ _MANIFEST = os.path.join("trials", "manifest.json")
     pytest.param("reconstruct-vf", _MANIFEST, "step", float("nan"), id="step-nan"),
     pytest.param("reconstruct-vf", _MANIFEST, "metadata", 7, id="metadata-number"),
     pytest.param("compare", _MANIFEST, "metadata", None, id="metadata-null"),
+] + [
+    pytest.param("compare", name, (table, series, "coefficients"), value, id=f"{name}-{case}")
+    for name, table, series in (("reduced_coupling.json", "series", "1:0:phi"),
+                                ("network_vf.json", "coupling", "1:0:theta"))
+    for case, value in (("nested", lambda c: [[x] for x in c]),
+                        ("nan", lambda c: c[:-1] + [float("nan")]))
 ])
 def test_artifact_value_of_the_wrong_type_is_usage_error(pipeline_runs, tmp_path, capsys,
                                                          command, name, key, value):
     """reduced_coupling.json's fallback must be one bool per oscillator, the
     diagnostics of reduced_coupling.json and network_vf.json JSON objects,
-    and the trials manifest's step a finite positive number and its metadata
+    each fitted series' coefficients one flat list of finite numbers, and
+    the trials manifest's step a finite positive number and its metadata
     an object; otherwise the stage exits 2 with one stderr line naming the
-    file and the key, and writes nothing."""
+    file and the key, and writes nothing.  A ``key`` tuple is the path to
+    the key, and a callable ``value`` maps the key's old value to the new."""
     output = {"compare": "report.json", "reconstruct-vf": "network_vf.json"}[command]
     _copy_run(pipeline_runs["canonical"], tmp_path,
               _ARTIFACTS + ("reduced_coupling.json",) if command == "compare"
               else ("config.json", _MANIFEST, os.path.join("trials", "trial_0000.npy")))
     path = tmp_path / name
     doc = json.loads(path.read_text())
-    doc[key] = value
+    *parents, key = key if isinstance(key, tuple) else (key,)
+    entry = doc
+    for parent in parents:
+        entry = entry[parent]
+    entry[key] = value(entry[key]) if callable(value) else value
     path.write_text(json.dumps(doc))
     assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
@@ -680,6 +692,41 @@ def test_overflowing_trial_duration_is_numerical_error(pipeline_runs, tmp_path, 
     err = capsys.readouterr().err
     assert "InvalidStep" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "trials" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "limit-cycle"])
+def test_output_directory_that_cannot_be_made_is_usage_error(tmp_path, capsys, command):
+    """An --out below a regular file exits 2 with one stderr line naming the
+    directory, and writes nothing."""
+    from pharec import pipeline, serialize
+    config = str(tmp_path / "config.json")
+    serialize.write_json(config, pipeline.default_config("canonical", "x").to_dict(), "config")
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "sub")
+    assert cli.main([command, "--config", config, "--out", out]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert out in err and len(err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("command, names, output", [
+    ("simulate", ("config.json",), os.path.join("trials", "manifest.json")),
+    ("compare", _ARTIFACTS + ("reduced_coupling.json",), "report.json"),
+], ids=["simulate", "compare"])
+def test_limit_cycle_of_another_kind_is_usage_error(pipeline_runs, tmp_path, capsys,
+                                                    command, names, output):
+    """A canonical run's limit_cycle.json in a radial isochron clock run
+    exits 2 with one stderr line naming the file and both kinds, and the
+    stage writes nothing."""
+    _copy_run(pipeline_runs["radial_isochron_clock"], tmp_path, names)
+    shutil.copyfile(os.path.join(pipeline_runs["canonical"].out_dir, "limit_cycle.json"),
+                    tmp_path / "limit_cycle.json")
+    assert cli.main([command, "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "limit_cycle.json") in err and len(err.splitlines()) == 1
+    assert "'canonical'" in err and "'radial_isochron_clock'" in err
+    assert not (tmp_path / output).exists()
 
 
 def test_stage_out_must_match_from(tmp_path, capsys):

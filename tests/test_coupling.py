@@ -73,7 +73,7 @@ def make_reduced(spec, pairs=((1, 0),)):
     rng = np.random.default_rng(3)
     series = {(i, j, eq): FittedSeries(spec, rng.normal(size=spec.size))
               for i, j in pairs for eq in ("phi", "sigma")}
-    return coupling.ReducedCoupling(n_oscillators=2, spec=spec, series=series,
+    return coupling.ReducedCoupling(n_oscillators=2, series=series,
                                     omega=[1.0, 1.0], lam=[-2.0, -1.4],
                                     fallback=[False, False])
 

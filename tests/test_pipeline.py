@@ -167,3 +167,24 @@ def test_stage_vf_frees_the_trials_before_the_fit(pipeline_runs, tmp_path, monke
     monkeypatch.setattr(vf_reconstruction, "fit_network_vf", fit_network_vf)
     pipeline.stage_vf(config)
     assert len(backing) == config.n_trials and alive == [0]
+
+
+def test_one_oscillator_network_runs_end_to_end(tmp_path):
+    """A lone canonical oscillator (coupling [[0.0]], 20 trials, seed 42)
+    passes all 10 report rows of one oscillator; it has no pair, so its
+    reduced series table and heatmaps manifest are empty, and both fitted
+    tables decode through pipeline._load and write back to the same bytes."""
+    model = {"kind": "canonical", "params": {"a": [1.2], "alpha": [1.5]},
+             "coupling": [[0.0]]}
+    config = pipeline.PipelineConfig(model=model, out_dir=str(tmp_path / "run"),
+                                     seed=42, n_trials=20)
+    report = pipeline.run_pipeline(config)
+    assert report["pass"] and len(report["rows"]) == 10
+    assert pipeline._load(config, "reduced_coupling").series == {}
+    manifest = serialize.read_json(str(tmp_path / "run" / "heatmaps" / "manifest.json"),
+                                   "heatmaps")
+    assert manifest["panels"] == []
+    for name in ("network_vf", "reduced_coupling"):
+        path = tmp_path / f"{name}.json"
+        serialize.write_json(str(path), pipeline._load(config, name).to_dict(), name)
+        assert path.read_bytes() == (tmp_path / "run" / f"{name}.json").read_bytes()

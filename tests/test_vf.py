@@ -96,7 +96,7 @@ def test_network_round_trip():
            for i in range(2) for c in ("theta", "r")}
     cpl = {(i, 1 - i, c): FittedSeries(pair, rng.normal(size=pair.size))
            for i in range(2) for c in ("theta", "r")}
-    nvf = vfr.NetworkVF(2, single, pair, unc, cpl)
+    nvf = vfr.NetworkVF(2, unc, cpl)
     again = vfr.NetworkVF.from_dict(nvf.to_dict())
     state = np.array([[0.3, 1.1], [1.2, 0.9]])
     np.testing.assert_allclose(network_derivatives(again, state),

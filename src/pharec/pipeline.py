@@ -251,11 +251,11 @@ def stage_reduce(config: PipelineConfig) -> dict:
     rc = coupling.reduce_network_coupling(
         nvf, tsets, stats, [c.omega for c in cycles], [c.lam for c in cycles],
         REDUCED_SPEC, count=GRID_POINTS, seed=config.seed + 1)
+    heat_dir = os.path.join(config.out_dir, "heatmaps")
+    serialize.make_dir(heat_dir)
     doc = rc.to_dict()
     _write(config.out_dir, "reduced_coupling", doc)
 
-    heat_dir = os.path.join(config.out_dir, "heatmaps")
-    serialize.make_dir(heat_dir)
     manifest = {"panels": []}
     for (i, j, eq) in sorted(rc.series):
         layout = coupling.heatmap_layout(rc, i, j, eq)

@@ -710,6 +710,18 @@ def test_output_directory_that_cannot_be_made_is_usage_error(tmp_path, capsys, c
     assert (tmp_path / "file").read_text() == ""
 
 
+def test_heatmaps_directory_that_cannot_be_made_is_usage_error(pipeline_runs, tmp_path,
+                                                              capsys):
+    """A regular file named heatmaps makes reduce-coupling exit 2 with one
+    stderr line naming it, before reduced_coupling.json is written."""
+    _copy_run(pipeline_runs["canonical"], tmp_path, _ARTIFACTS)
+    (tmp_path / "heatmaps").write_text("")
+    assert cli.main(["reduce-coupling", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "heatmaps") in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "reduced_coupling.json").exists()
+
+
 @pytest.mark.parametrize("command, names, output", [
     ("simulate", ("config.json",), os.path.join("trials", "manifest.json")),
     ("compare", _ARTIFACTS + ("reduced_coupling.json",), "report.json"),

@@ -22,9 +22,9 @@ from .errors import BasinEscape, TooShort
 from .limit_cycle import STEPS_PER_PERIOD, LimitCycle
 
 __all__ = [
-    "ObservableDeviation",
     "ReducedSample",
     "observable_deviation",
+    "slope_probe",
     "refine_lambda",
     "reduced_coordinates_batch",
 ]
@@ -35,16 +35,6 @@ FLOOR_ABS = 1e-12
 FLOOR_GAMMA_FACTOR = 10.0
 # Time steps integrated per lockstep block: half a period, to bound its temporaries.
 _BLOCK_STEPS = STEPS_PER_PERIOD // 2
-
-
-@dataclass(frozen=True)
-class ObservableDeviation:
-    """Radial deviation rho(t) with its trusted window of two periods."""
-
-    times: np.ndarray
-    rho: np.ndarray
-    window: tuple[int, int]      # [i1, i2], i2 - i1 spans two periods
-    period: float
 
 
 @dataclass(frozen=True)
@@ -66,49 +56,55 @@ def _last_above(above: np.ndarray) -> np.ndarray:
     return np.where(above.any(axis=0), last, -1)
 
 
-def _trusted_window(last, n: int, period_steps: int):
-    """Averaging window [i1, i2] of a run of n steps whose |rho| last exceeds
-    the precision floor at index ``last`` (-1: never).
+def _trusted_window(last, n: int):
+    """Averaging window [i1, i2] of a run of n steps at the cycle step whose
+    |rho| last exceeds the precision floor at index ``last`` (-1: never).
 
-    The window ends there and reaches back over the whole periods of
-    ``period_steps`` that fit, at most two; ``periods`` counts them.  Where
-    it is 0 (|rho| never exceeds the floor, or only within the first period)
-    the window is the last two periods of the run.
+    The window ends there and reaches back over the whole periods that fit,
+    at most two; ``periods`` counts them.  Where it is 0 (|rho| never exceeds
+    the floor, or only within the first period) the window is the last two
+    periods of the run.
     """
-    periods = np.where(last >= 0, np.minimum(last // period_steps, 2), 0)
+    periods = np.where(last >= 0, np.minimum(last // STEPS_PER_PERIOD, 2), 0)
     i2 = np.where(periods > 0, last, n)
-    return i2 - np.where(periods > 0, periods, 2) * period_steps, i2, periods
+    return i2 - np.where(periods > 0, periods, 2) * STEPS_PER_PERIOD, i2, periods
 
 
-def observable_deviation(trajectory: ode.Trajectory, cycle: LimitCycle) -> ObservableDeviation:
-    """rho(t) = r(t) - gamma(theta(t)) with the two-period trusted window."""
-    if trajectory.times[-1] < 4.0 * cycle.period - 1e-9:
+def observable_deviation(states: np.ndarray, cycle: LimitCycle):
+    """rho(t) = r(t) - gamma(theta(t)) of (theta, r) ``states`` sampled at the
+    cycle step, and its trusted window [i1, i2] of two periods."""
+    if (states.shape[0] - 1) * cycle.step < 4.0 * cycle.period - 1e-9:
         raise TooShort("need at least four periods of trajectory")
-    theta = trajectory.states[..., 0]
-    r = trajectory.states[..., 1]
-    rho = r - cycle.gamma_at(theta)
+    rho = states[..., 1] - cycle.gamma_at(states[..., 0])
     i1, i2, periods = _trusted_window(
-        _last_above(np.abs(rho) > _precision_floor(cycle, rho[0])), rho.shape[0] - 1,
-        int(round(cycle.period / trajectory.step_size)))
+        _last_above(np.abs(rho) > _precision_floor(cycle, rho[0])), rho.shape[0] - 1)
     if periods < 2:
         raise TooShort("fewer than two periods above the precision floor")
-    return ObservableDeviation(times=trajectory.times, rho=rho,
-                               window=(int(i1), int(i2)), period=cycle.period)
+    return rho, (int(i1), int(i2))
 
 
-def refine_lambda(dev: ObservableDeviation, lambda0: float) -> float:
-    """Correct lambda0 by the residual log-slope of the deviation decay.
+def slope_probe(cycle: LimitCycle) -> np.ndarray:
+    """The slope route's (k + 1, 2) run of states, row 0 filled with the start
+    (theta, r) = (0, 1.2 gamma(0)); k steps reach the precision floor."""
+    gamma0 = cycle.gamma_at(0.0)
+    k = _horizon_steps(cycle, cycle.lam, float(abs(1.2 * gamma0 - gamma0)))
+    probe = np.zeros((k + 1, 2))
+    probe[0, 1] = 1.2 * gamma0
+    return probe
 
-    The slope is taken between the per-period means of log|rho| - lambda0*t
-    over the two halves of the trusted window, which suppresses the in-period
-    oscillation of the deviation.
+
+def refine_lambda(states: np.ndarray, cycle: LimitCycle) -> float:
+    """The Floquet exponent from the log-slope of the deviation decay of
+    ``states``, a run at the cycle step such as a filled slope_probe.
+
+    The slope is taken between the per-period means of log|rho| over the two
+    halves of the trusted window, which suppresses the in-period oscillation
+    of the deviation.
     """
-    i1, i2 = dev.window
+    rho, (i1, i2) = observable_deviation(states, cycle)
     half = (i2 - i1) // 2
-    y = np.log(np.maximum(np.abs(dev.rho[i1:i2]), 1e-300)) - lambda0 * dev.times[i1:i2]
-    m1 = float(np.mean(y[:half]))
-    m2 = float(np.mean(y[half:2 * half]))
-    return lambda0 + (m2 - m1) / dev.period
+    y = np.log(np.maximum(np.abs(rho[i1:i2]), 1e-300))
+    return (float(np.mean(y[half:2 * half])) - float(np.mean(y[:half]))) / cycle.period
 
 
 def _horizon_steps(cycle: LimitCycle, lam: float, rho_max: float) -> int:
@@ -229,7 +225,7 @@ def reduced_coordinates_batch(vf, cycle: LimitCycle, ics, probe=None) -> list[Re
 
         # Windows ending in this block are final unless a later block finds
         # |rho| above the floor again.
-        i1, i2, periods = _trusted_window(last, n, STEPS_PER_PERIOD)
+        i1, i2, periods = _trusted_window(last, n)
         done = np.flatnonzero((i2 >= lo) & (i2 < hi))
         w1, w2 = i1[done], i2[done]
         amp_mean[done] = cum_amp.means(w1, w2, done)

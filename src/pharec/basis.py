@@ -285,9 +285,15 @@ class FittedSeries:
                 "coefficients": [float(c) for c in self.coefficients]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FittedSeries":
-        return cls(spec_from_dict(d["spec"]),
-                   np.asarray(d["coefficients"], dtype=float))
+    def from_dict(cls, d: dict, kind: str) -> "FittedSeries":
+        """Inverse of to_dict for a series whose spec is of ``kind``: "single",
+        "gamma" (single with n_max 0, a pure harmonic series) or a pair spec's
+        mode, "observable" or "reduced"; any other spec is a ValueError."""
+        spec = spec_from_dict(d["spec"])
+        have = "single" if isinstance(spec, SingleBasisSpec) else spec.mode
+        if kind != have and not (kind == "gamma" and have == "single" and spec.n_max == 0):
+            raise ValueError(f"spec must be a {kind} spec, not {d['spec']!r}")
+        return cls(spec, np.asarray(d["coefficients"], dtype=float))
 
     @staticmethod
     def to_table(series: dict) -> dict:
@@ -295,14 +301,15 @@ class FittedSeries:
         return {_code(key): s.to_dict() for key, s in series.items()}
 
     @classmethod
-    def from_table(cls, table: dict, n_oscillators: int, arity: int, names) -> dict:
+    def from_table(cls, table: dict, n_oscillators: int, arity: int, names, kind: str) -> dict:
         """Inverse of to_table for a table of exactly the series of each of ``names``
-        for every oscillator (arity 1) or every ordered pair i != j (arity 2)."""
+        for every oscillator (arity 1) or every ordered pair i != j (arity 2),
+        each with a spec of ``kind`` (see from_dict)."""
         keys = {_code(key): key for node in itertools.permutations(range(n_oscillators), arity)
                 for key in [(*node, name) for name in names]}
         if table.keys() != keys.keys():
             raise ValueError(f"series {sorted(table.keys() ^ keys.keys())} missing or unexpected")
-        return {key: cls.from_dict(table[code]) for code, key in keys.items()}
+        return {key: cls.from_dict(table[code], kind) for code, key in keys.items()}
 
 
 def series_eval(series: FittedSeries, *point) -> np.ndarray:

@@ -9,13 +9,14 @@ phi_j, sigma_j).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import FittedSeries, PairBasisSpec, pair_row
 from .errors import EmptyRadiusData, InsufficientSamples, UnknownPair
-from .limit_cycle import finite_numbers, json_object
+from .limit_cycle import LimitCycle, finite_numbers, json_object
 from .ridge import ridge_fit
 from .transforms import TransformSet
 from .vf_reconstruction import NetworkVF, eval_coupling
@@ -36,9 +37,9 @@ SIGMA_MARGIN = 0.1            # relative widening of the trusted sigma range
 def sample_evaluation_grid(radius_stats, count: int, seed: int = 0):
     """Random observable evaluation points for coupling reduction.
 
-    ``radius_stats`` is one (r_min, r_max) pair per oscillator; the pipeline
-    passes the extremes of each cycle profile gamma on a 256-point angle
-    grid.  Angles are uniform on the circle; radii are uniform in
+    ``radius_stats`` is one (r_min, r_max) pair per oscillator;
+    reduce_network_coupling passes the extremes of each cycle profile gamma
+    on a 256-point angle grid.  Angles are uniform on the circle; radii are uniform in
     [0.8 * r_max, 1.25 * r_min] per oscillator, or in the fallback range
     [0.8 * r_min, 1.25 * r_max] (flagged) when that interval is empty.
 
@@ -141,29 +142,29 @@ class ReducedCoupling:
                 and all(isinstance(f, bool) for f in fallback)):
             raise ValueError(f"fallback must be {n} booleans, not {fallback!r}")
         return cls(n_oscillators=n, omega=omega, lam=lam,
-                   series=FittedSeries.from_table(d["series"], n, 2, EQUATIONS),
+                   series=FittedSeries.from_table(d["series"], n, 2, EQUATIONS, "reduced"),
                    fallback=fallback, diagnostics=json_object(d["diagnostics"], "diagnostics"))
 
 
 def reduce_network_coupling(nvf: NetworkVF, transform_sets: list[TransformSet],
-                            radius_stats, omega: list[float], lam: list[float],
-                            reduced_spec: PairBasisSpec, count: int,
-                            seed: int) -> ReducedCoupling:
-    """Fit the reduced coupling tensor for every ordered oscillator pair."""
-    angles, radii, fallback = sample_evaluation_grid(radius_stats, count, seed)
+                            cycles: list[LimitCycle], reduced_spec: PairBasisSpec,
+                            count: int, seed: int) -> ReducedCoupling:
+    """Fit the reduced coupling tensor for every ordered oscillator pair on
+    points around each cycle profile, and record each cycle's omega and lambda."""
+    grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    angles, radii, fallback = sample_evaluation_grid(
+        [(float(g.min()), float(g.max())) for g in (c.gamma_at(grid) for c in cycles)],
+        count, seed)
     series, diagnostics = {}, {}
-    for i in range(nvf.n_oscillators):
-        for j in range(nvf.n_oscillators):
-            if i == j:
-                continue
-            samples = reduced_coupling_samples(nvf, transform_sets, angles, radii, i, j)
-            fitted = fit_reduced_coupling(samples, reduced_spec)
-            for eq in EQUATIONS:
-                series[(i, j, eq)] = fitted[eq]
-            diagnostics[f"{i}:{j}"] = fitted["diagnostics"]
-    return ReducedCoupling(n_oscillators=nvf.n_oscillators, series=series, omega=list(omega),
-                           lam=list(lam), fallback=[bool(f) for f in fallback],
-                           diagnostics=diagnostics)
+    for i, j in itertools.permutations(range(nvf.n_oscillators), 2):
+        samples = reduced_coupling_samples(nvf, transform_sets, angles, radii, i, j)
+        fitted = fit_reduced_coupling(samples, reduced_spec)
+        for eq in EQUATIONS:
+            series[(i, j, eq)] = fitted[eq]
+        diagnostics[f"{i}:{j}"] = fitted["diagnostics"]
+    return ReducedCoupling(n_oscillators=nvf.n_oscillators, series=series,
+                           omega=[c.omega for c in cycles], lam=[c.lam for c in cycles],
+                           fallback=[bool(f) for f in fallback], diagnostics=diagnostics)
 
 
 def heatmap_layout(rc: ReducedCoupling, i: int, j: int, equation: str) -> dict:
@@ -183,10 +184,5 @@ def heatmap_layout(rc: ReducedCoupling, i: int, j: int, equation: str) -> dict:
                           for t in ("cos", "sin")]
     col_labels = [f"{t} {k}phi_j" for k in range(1, spec.kj_max + 1)
                   for t in ("cos", "sin")]
-    panels = {}
-    pos = 0
-    for mi, mj in spec.amplitude_pairs():
-        block = coeffs[pos:pos + spec.n_own * spec.n_inp]
-        panels[(mi, mj)] = block.reshape(spec.n_own, spec.n_inp).copy()
-        pos += spec.n_own * spec.n_inp
+    panels = dict(zip(spec.amplitude_pairs(), coeffs.reshape(-1, spec.n_own, spec.n_inp).copy()))
     return {"panels": panels, "row_labels": row_labels, "col_labels": col_labels}

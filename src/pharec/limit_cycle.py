@@ -114,13 +114,15 @@ class LimitCycle:
             if not (isinstance(mono, list) and len(mono) == 2):
                 raise ValueError(f"monodromy must be null or 2x2 finite numbers, not {mono!r}")
             mono = np.array([finite_numbers(row, 2, "monodromy row") for row in mono])
+        lam = finite_number(d["lam"], "lam")
+        if lam >= 0:            # floquet_from_monodromy finds contracting cycles only
+            raise ValueError(f"lam must be a negative number, not {lam!r}")
         return cls(period=finite_number(d["period"], "period", positive=True),
                    omega=finite_number(d["omega"], "omega", positive=True),
-                   gamma=FittedSeries.from_dict(d["gamma"]),
+                   gamma=FittedSeries.from_dict(d["gamma"], "gamma"),
                    anchor=(theta0, finite_number(r0, "anchor radius", positive=True)),
                    gamma_resid=finite_number(d["gamma_resid"], "gamma_resid", nonnegative=True),
-                   lam=finite_number(d["lam"], "lam"),
-                   monodromy=mono)
+                   lam=lam, monodromy=mono)
 
 
 def _rough_period(vf, state) -> tuple[float, np.ndarray]:
@@ -209,9 +211,8 @@ def find_limit_cycle(vf, seed_state, n_gamma: int = DEFAULT_N_G) -> LimitCycle:
 
 def floquet_from_monodromy(vf, jacobian, cycle: LimitCycle) -> LimitCycle:
     """Attach the Floquet exponent from one period of the variational flow."""
-    tt = ode.integrate_with_tangent(vf, jacobian, np.asarray(cycle.anchor),
-                                    cycle.period, cycle.step)
-    mono = tt.tangent[-1]
+    mono = ode.integrate_with_tangent(vf, jacobian, np.asarray(cycle.anchor),
+                                      cycle.period, cycle.step).final_state[2:].reshape(2, 2)
     eigvals = np.linalg.eigvals(mono)
     trivial = int(np.argmin(np.abs(eigvals - 1.0)))
     mult = eigvals[1 - trivial]

@@ -33,6 +33,7 @@ __all__ = [
     "uncoupled_jacobian",
     "native_coords",
     "estimate_frame",
+    "cycle_seed",
     "polar_uncoupled_vf",
     "polar_uncoupled_jacobian",
     "cart_to_polar",
@@ -339,6 +340,14 @@ def _settle_seed(spec: ModelSpec, i: int) -> np.ndarray:
         return np.array([1.0, 0.0])
     x0, y0 = wc_equilibrium(spec, i)
     return np.array([x0 + 0.05, y0])
+
+
+def cycle_seed(spec: ModelSpec, i: int, frame: ObservableFrame) -> np.ndarray:
+    """Polar start (theta, r) of oscillator ``i``'s cycle search in ``frame``:
+    (0.3, 1.2) on the polar kinds, else the start of its settling run."""
+    if spec.kind in _POLAR_KINDS:
+        return np.array([0.3, 1.2])
+    return cart_to_polar(_settle_seed(spec, i), frame)
 
 
 def estimate_frame(spec: ModelSpec) -> list[ObservableFrame]:

@@ -15,7 +15,6 @@ from .errors import InvalidStep, NonFiniteState
 
 __all__ = [
     "Trajectory",
-    "TangentTrajectory",
     "integrate",
     "integrate_with_tangent",
     "rk4_step",
@@ -31,27 +30,10 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    step_size: float
-
-    def __post_init__(self):
-        if self.states.shape[0] != self.times.shape[0]:
-            raise ValueError("states length must equal times length")
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-@dataclass(frozen=True)
-class TangentTrajectory:
-    """Flow plus the fundamental solution M(t) of the variational equation."""
-
-    base: Trajectory
-    tangent: np.ndarray  # (n_times, 2, 2)
-
-    def __post_init__(self):
-        if self.tangent.shape[0] != self.base.times.shape[0]:
-            raise ValueError("tangent length must equal times length")
 
 
 def rk4_step(vf, state: np.ndarray, h: float) -> np.ndarray:
@@ -91,16 +73,13 @@ def integrate(vf, state0, duration: float, step: float) -> Trajectory:
         out[i + 1] = state
         if np.count_nonzero(np.isfinite(state)) < state.size:
             raise NonFiniteState(f"non-finite state at t={(i + 1) * step}")
-    times = np.arange(n + 1) * step
-    return Trajectory(times=times, states=out, step_size=step)
+    return Trajectory(times=np.arange(n + 1) * step, states=out)
 
 
 def integrate_with_tangent(vf, jacobian, state0, duration: float,
-                           step: float) -> TangentTrajectory:
-    """Integrate the flow together with dM/dt = DF(x(t)) M, M(0) = I.
-
-    The augmented state (x, M) runs through ``integrate``.
-    """
+                           step: float) -> Trajectory:
+    """Integrate the flow together with dM/dt = DF(x(t)) M, M(0) = I, as one
+    ``integrate`` run of the states (x, M flattened row-major), shape (n_times, 6)."""
     state0 = np.asarray(state0, dtype=float)
     if state0.shape != (2,):
         raise ValueError("tangent integration expects a single planar state")
@@ -110,7 +89,4 @@ def integrate_with_tangent(vf, jacobian, state0, duration: float,
         dm = jacobian(x) @ aug[2:].reshape(2, 2)
         return np.concatenate([vf(x), dm.ravel()])
 
-    aug = integrate(aug_vf, np.concatenate([state0, np.eye(2).ravel()]),
-                    duration, step)
-    base = Trajectory(times=aug.times, states=aug.states[:, :2], step_size=step)
-    return TangentTrajectory(base=base, tangent=aug.states[:, 2:].reshape(-1, 2, 2))
+    return integrate(aug_vf, np.concatenate([state0, np.eye(2).ravel()]), duration, step)

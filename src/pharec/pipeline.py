@@ -20,8 +20,8 @@ from .basis import PairBasisSpec, SingleBasisSpec
 from .errors import InvalidConfig, NoAnalyticForm
 from .limit_cycle import LimitCycle, find_limit_cycle, finite_number, floquet_from_monodromy
 # perfbench/tracer.py patches ``integrate`` here by name, so it stays bound.
-from .ode import Trajectory, integrate  # noqa: F401
-from .transforms import TransformSet, _wrap
+from .ode import integrate  # noqa: F401
+from .transforms import TransformSet, wrap_angle
 
 __all__ = [
     "PipelineConfig",
@@ -176,11 +176,8 @@ def stage_limit_cycle(config: PipelineConfig) -> dict:
     for i, frame in enumerate(models.estimate_frame(spec)):
         vf = models.polar_uncoupled_vf(spec, i, frame)
         jac = models.polar_uncoupled_jacobian(spec, i, frame)
-        if models.native_coords(spec.kind) == "polar":
-            seed_state = np.array([0.3, 1.2])
-        else:
-            seed_state = models.cart_to_polar(models._settle_seed(spec, i), frame)
-        cycle = find_limit_cycle(vf, seed_state, n_gamma=KIND_SETTINGS[spec.kind]["n_gamma"])
+        cycle = find_limit_cycle(vf, models.cycle_seed(spec, i, frame),
+                                 n_gamma=KIND_SETTINGS[spec.kind]["n_gamma"])
         cycle = floquet_from_monodromy(vf, jac, cycle)
         oscillators.append({"frame": frame.to_dict(), "cycle": cycle.to_dict()})
     doc = {"kind": spec.kind, "oscillators": oscillators}
@@ -197,19 +194,12 @@ def stage_transforms(config: PipelineConfig) -> dict:
     for i, cycle in enumerate(cycles):
         ics = transforms.generate_ic_grid(cycle, settings["ic_angles"], settings["ic_radii"],
                                           settings["radial_span"])
-        # Independent slope route to the Floquet exponent, for the report:
-        # a probe run from 1.2 gamma(0), integrated as one more batch column.
-        gamma0 = cycle.gamma_at(0.0)
-        k = averaging._horizon_steps(cycle, cycle.lam, float(abs(1.2 * gamma0 - gamma0)))
-        probe = np.zeros((k + 1, 2))
-        probe[0, 1] = 1.2 * gamma0
+        # The slope route to the Floquet exponent, for the report: its probe rides in the batch.
+        probe = averaging.slope_probe(cycle)
         samples = averaging.reduced_coordinates_batch(vfs[i], cycle, ics, probe)
         ts = transforms.fit_transform_set(samples, settings["transform"])
-        traj = Trajectory(np.arange(k + 1) * cycle.step, probe, cycle.step)
-        dev = averaging.observable_deviation(traj, cycle)
-        lam_slope = averaging.refine_lambda(dev, 0.0)
         oscillators.append({"transforms": ts.to_dict(),
-                            "lambda_slope": lam_slope})
+                            "lambda_slope": averaging.refine_lambda(probe, cycle)})
     doc = {"oscillators": oscillators}
     _write(config.out_dir, "transforms", doc)
     return doc
@@ -245,12 +235,8 @@ def stage_reduce(config: PipelineConfig) -> dict:
     _, cycles = _load(config, "limit_cycle")
     nvf = _load(config, "network_vf")
     tsets, _ = _load(config, "transforms")
-    grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    stats = [(float(g.min()), float(g.max()))
-             for g in (c.gamma_at(grid) for c in cycles)]
-    rc = coupling.reduce_network_coupling(
-        nvf, tsets, stats, [c.omega for c in cycles], [c.lam for c in cycles],
-        REDUCED_SPEC, count=GRID_POINTS, seed=config.seed + 1)
+    rc = coupling.reduce_network_coupling(nvf, tsets, cycles, REDUCED_SPEC,
+                                          count=GRID_POINTS, seed=config.seed + 1)
     heat_dir = os.path.join(config.out_dir, "heatmaps")
     serialize.make_dir(heat_dir)
     doc = rc.to_dict()
@@ -340,11 +326,11 @@ def _transform_rows(spec, cycles, tsets, vfs, truths):
                 scale = float(np.sum(sig_fit * ana) / np.sum(ana * ana))
                 rel = float(np.abs(sig_fit - scale * ana).max() / np.abs(scale * ana).max())
                 yield _row(f"sigma_transform_osc{i}", rel, "sigma_rel_scaled")
-            err = float(np.abs(_wrap(phi_fit - gt.phi(TH_a, R_a))).max())
+            err = float(np.abs(wrap_angle(phi_fit - gt.phi(TH_a, R_a))).max())
             yield _row(f"phi_transform_osc{i}", err, "phi_abs_ric" if ric else "phi_abs_canonical")
         R = U * cycle.gamma_at(TH)
         k_theta, k_r = ts.forward(*ts.inverse(TH, R))
-        comp = max(float(np.abs(k_r - R).max()), float(np.abs(_wrap(k_theta - TH)).max()))
+        comp = max(float(np.abs(k_r - R).max()), float(np.abs(wrap_angle(k_theta - TH)).max()))
         yield _row(f"composition_osc{i}", comp, "composition_abs")
         f = vf(np.stack([TH, R], axis=-1))
         (_, dpt, dpr), (sig, dst, dsr) = ts.inverse_grad(TH, R)

@@ -23,6 +23,7 @@ __all__ = [
     "TransformSet",
     "generate_ic_grid",
     "fit_transform_set",
+    "wrap_angle",
 ]
 
 
@@ -72,10 +73,10 @@ class TransformSet:
     @classmethod
     def from_dict(cls, d: dict) -> "TransformSet":
         return cls(
-            inverse_phase=FittedSeries.from_dict(d["inverse_phase"]),
-            inverse_amplitude=FittedSeries.from_dict(d["inverse_amplitude"]),
-            forward_angle=FittedSeries.from_dict(d["forward_angle"]),
-            forward_radius=FittedSeries.from_dict(d["forward_radius"]),
+            inverse_phase=FittedSeries.from_dict(d["inverse_phase"], "single"),
+            inverse_amplitude=FittedSeries.from_dict(d["inverse_amplitude"], "single"),
+            forward_angle=FittedSeries.from_dict(d["forward_angle"], "single"),
+            forward_radius=FittedSeries.from_dict(d["forward_radius"], "single"),
             r_domain=_domain(d, "r_domain"),
             sigma_domain=_domain(d, "sigma_domain"),
         )
@@ -103,7 +104,7 @@ def generate_ic_grid(cycle: LimitCycle, n_angles: int, n_radii: int,
     return np.stack([th, u * cycle.gamma_at(th)], axis=1)
 
 
-def _wrap(x):
+def wrap_angle(x):
     """Wrap to the branch nearest zero, (-pi, pi]."""
     return -(np.mod(np.pi - np.asarray(x, dtype=float), 2.0 * np.pi) - np.pi)
 
@@ -132,9 +133,9 @@ def fit_transform_set(samples: list[ReducedSample], spec: SingleBasisSpec) -> Tr
     def series(design, target):
         return FittedSeries(spec, ridge_fit(design, target).coefficients)
 
-    return TransformSet(inverse_phase=series(inverse, _wrap(phi - th)),
+    return TransformSet(inverse_phase=series(inverse, wrap_angle(phi - th)),
                         inverse_amplitude=series(inverse, sig),
-                        forward_angle=series(forward, _wrap(th - phi)),
+                        forward_angle=series(forward, wrap_angle(th - phi)),
                         forward_radius=series(forward, r),
                         r_domain=(float(r.min()), float(r.max())),
                         sigma_domain=(float(sig.min()), float(sig.max())))

@@ -88,30 +88,22 @@ def simulate_trial_set(spec: models.ModelSpec, cycles: list[LimitCycle],
     """
     n_osc = spec.n_oscillators
     rng = np.random.default_rng(seed)
-    native = models.native_coords(spec.kind)
     th0 = rng.uniform(0.0, 2.0 * np.pi, size=(n_trials, n_osc))
     u0 = rng.uniform(radial_span[0], radial_span[1], size=(n_trials, n_osc))
     r0 = np.stack([u0[:, i] * cycles[i].gamma_at(th0[:, i])
                    for i in range(n_osc)], axis=1)
-    polar0 = np.stack([th0, r0], axis=-1)                     # (n_trials, N, 2)
+    polar = models.native_coords(spec.kind) == "polar"
 
-    t_max = max(c.period for c in cycles)
+    def each_frame(convert, states):     # (..., N, 2) states, unchanged if polar
+        return states if polar else np.stack(
+            [convert(states[..., i, :], frames[i]) for i in range(n_osc)], axis=-2)
+
     step = min(c.period for c in cycles) / STEPS_PER_PERIOD
-    duration = periods * t_max
-    vf = models.network_vf(spec)
-    if native == "polar":
-        traj = ode.integrate(vf, polar0, duration, step)
-        theta = traj.states[:, :, :, 0]
-        radius = traj.states[:, :, :, 1]
-    else:
-        cart0 = np.stack([models.polar_to_cart(polar0[:, i], frames[i])
-                          for i in range(n_osc)], axis=1)
-        traj = ode.integrate(vf, cart0, duration, step)
-        obs = np.stack([models.cart_to_polar(traj.states[:, :, i], frames[i])
-                        for i in range(n_osc)], axis=2)
-        theta = obs[..., 0]
-        radius = obs[..., 1]
-    return [Trial(times=traj.times, theta=theta[:, p], r=radius[:, p])
+    traj = ode.integrate(models.network_vf(spec),
+                         each_frame(models.polar_to_cart, np.stack([th0, r0], axis=-1)),
+                         periods * max(c.period for c in cycles), step)
+    obs = each_frame(models.cart_to_polar, traj.states)      # (n, n_trials, N, 2)
+    return [Trial(times=traj.times, theta=obs[:, p, :, 0], r=obs[:, p, :, 1])
             for p in range(n_trials)], step
 
 
@@ -136,8 +128,8 @@ class NetworkVF:
     def from_dict(cls, d: dict) -> "NetworkVF":
         n = d["n_oscillators"]
         return cls(n_oscillators=n,
-                   uncoupled=FittedSeries.from_table(d["uncoupled"], n, 1, COMPONENTS),
-                   coupling=FittedSeries.from_table(d["coupling"], n, 2, COMPONENTS),
+                   uncoupled=FittedSeries.from_table(d["uncoupled"], n, 1, COMPONENTS, "single"),
+                   coupling=FittedSeries.from_table(d["coupling"], n, 2, COMPONENTS, "observable"),
                    diagnostics=json_object(d["diagnostics"], "diagnostics"))
 
 

@@ -47,9 +47,7 @@ def test_amplitude_sign_follows_initial_deviation(ric):
 def test_log_slope_corrects_wrong_exponent(ric):
     _, vf, cycle = ric
     traj = ode.integrate(vf, np.array([0.0, 1.25]), 12 * cycle.period, cycle.step)
-    dev = averaging.observable_deviation(traj, cycle)
-    assert averaging.refine_lambda(dev, 0.0) == pytest.approx(cycle.lam, rel=5e-3)
-    assert averaging.refine_lambda(dev, cycle.lam) == pytest.approx(cycle.lam, rel=5e-3)
+    assert averaging.refine_lambda(traj.states, cycle) == pytest.approx(cycle.lam, rel=5e-3)
 
 
 def test_batch_matches_single_evaluation(ric):
@@ -81,7 +79,7 @@ def test_short_trajectory_rejected(ric):
     _, vf, cycle = ric
     traj = ode.integrate(vf, np.array([0.0, 1.2]), 2 * cycle.period, cycle.step)
     with pytest.raises(TooShort):
-        averaging.observable_deviation(traj, cycle)
+        averaging.observable_deviation(traj.states, cycle)
 
 
 def test_escaping_initial_condition_rejected(ric):
@@ -250,13 +248,12 @@ def test_probe_column_keeps_the_samples_and_a_one_state_run(pipeline_runs, kind,
     frames, cycles = pipeline._load(config, "limit_cycle")
     cycle, vf = cycles[0], pipeline._oscillator_fields(config, frames)[0]
     ics = transforms.generate_ic_grid(cycle, 5, 3, span)
-    gamma0 = cycle.gamma_at(0.0)
-    k = averaging._horizon_steps(cycle, cycle.lam, float(abs(1.2 * gamma0 - gamma0)))
+    probe = averaging.slope_probe(cycle)
+    k = probe.shape[0] - 1
     n = averaging._horizon_steps(
         cycle, cycle.lam, float(np.max(np.abs(ics[:, 1] - cycle.gamma_at(ics[:, 0])))))
     assert (k > n) == (span == (0.9, 1.1))
-    probe = np.zeros((k + 1, 2))
-    probe[0, 1] = 1.2 * gamma0
+    assert probe[0].tolist() == [0.0, 1.2 * float(cycle.gamma_at(0.0))]
 
     def sample_bytes(samples):
         return np.array([(s.theta0, s.r0, s.phi0, s.sigma0) for s in samples]).tobytes()
@@ -266,3 +263,20 @@ def test_probe_column_keeps_the_samples_and_a_one_state_run(pipeline_runs, kind,
         averaging.reduced_coordinates_batch(vf, cycle, ics))
     alone = ode.integrate(vf, probe[0], k * cycle.step, cycle.step).states
     assert probe.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["radial_isochron_clock", "canonical", "van_der_pol",
+                                  "wilson_cowan"])
+def test_slope_route_of_a_lone_run_gives_the_recorded_lambda(pipeline_runs, kind):
+    """refine_lambda of a one-state run from slope_probe's start, integrated on
+    its own, gives each oscillator's lambda_slope in transforms.json bit for
+    bit: the probe column of the batch is that run."""
+    config = pipeline_runs[kind].config
+    frames, cycles = pipeline._load(config, "limit_cycle")
+    _, lam_slopes = pipeline._load(config, "transforms")
+    for cycle, vf, recorded in zip(cycles, pipeline._oscillator_fields(config, frames),
+                                   lam_slopes):
+        probe = averaging.slope_probe(cycle)
+        k = probe.shape[0] - 1
+        run = ode.integrate(vf, probe[0], k * cycle.step, cycle.step).states
+        assert averaging.refine_lambda(run, cycle) == recorded

@@ -172,7 +172,7 @@ def test_coefficient_lookup():
 def test_series_round_trip_and_arity():
     spec = basis.PairBasisSpec(1, 1, 1, "observable")
     series = basis.FittedSeries(spec, np.arange(spec.size, dtype=float))
-    again = basis.FittedSeries.from_dict(series.to_dict())
+    again = basis.FittedSeries.from_dict(series.to_dict(), "observable")
     np.testing.assert_array_equal(again.coefficients, series.coefficients)
     assert again.spec == spec
     with pytest.raises(ArityMismatch):
@@ -182,7 +182,30 @@ def test_series_round_trip_and_arity():
                        ({"extra": 0}, TypeError)):
         with pytest.raises(error):
             basis.FittedSeries.from_dict(dict(series.to_dict(),
-                                              spec=dict(spec.to_dict(), **bad)))
+                                              spec=dict(spec.to_dict(), **bad)), "observable")
+
+
+def test_series_spec_must_be_of_the_readers_kind():
+    """A series decodes only with the spec kind its reader asks for: gamma a
+    single spec with n_max 0, "single" any single spec, and a pair mode a
+    pair spec of that mode; any other spec is a ValueError naming it."""
+    specs = {"gamma": basis.SingleBasisSpec(0, 3), "single": basis.SingleBasisSpec(2, 3),
+             "observable": basis.PairBasisSpec(1, 1, 1, "observable"),
+             "reduced": basis.PairBasisSpec(1, 1, 1, "reduced")}
+    accepted = {"gamma": {"gamma"}, "single": {"gamma", "single"},
+                "observable": {"observable"}, "reduced": {"reduced"}}
+    for have, spec in specs.items():
+        d = basis.FittedSeries(spec, np.arange(spec.size, dtype=float)).to_dict()
+        for kind in specs:
+            if have in accepted[kind]:
+                assert basis.FittedSeries.from_dict(d, kind).spec == spec
+            else:
+                with pytest.raises(ValueError, match=f"must be a {kind} spec"):
+                    basis.FittedSeries.from_dict(d, kind)
+    table = basis.FittedSeries.to_table({(i, j, "phi"): basis.FittedSeries(
+        specs["observable"], np.zeros(specs["observable"].size)) for i, j in ((0, 1), (1, 0))})
+    with pytest.raises(ValueError, match="must be a reduced spec"):
+        basis.FittedSeries.from_table(table, 2, 2, ("phi",), "reduced")
 
 
 def test_series_table_holds_exactly_every_oscillator_or_pair():
@@ -196,7 +219,7 @@ def test_series_table_holds_exactly_every_oscillator_or_pair():
                   for k, node in enumerate(nodes) for name in names}
         table = basis.FittedSeries.to_table(series)
         assert ":".join(map(str, nodes[-1])) + ":r" in table
-        again = basis.FittedSeries.from_table(table, 3, arity, names)
+        again = basis.FittedSeries.from_table(table, 3, arity, names, "single")
         assert again.keys() == series.keys()
         for key, s in series.items():
             np.testing.assert_array_equal(again[key].coefficients, s.coefficients)
@@ -205,7 +228,7 @@ def test_series_table_holds_exactly_every_oscillator_or_pair():
                        (dict(table, **{"0:" + first: table[first]}), 3),
                        (table, 2), (table, 4)):
             with pytest.raises(ValueError, match="missing or unexpected"):
-                basis.FittedSeries.from_table(bad, n, arity, names)
+                basis.FittedSeries.from_table(bad, n, arity, names, "single")
 
 
 def test_coefficient_length_validated():

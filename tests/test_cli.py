@@ -420,6 +420,22 @@ def test_cycle_without_a_finite_lam_is_usage_error(pipeline_runs, tmp_path, caps
     assert not (tmp_path / "reduced_coupling.json").exists()
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_cycle_that_does_not_contract_is_usage_error(pipeline_runs, tmp_path, capsys, lam):
+    """A limit_cycle.json cycle whose lam is not negative makes the transforms
+    stage exit 2 with one stderr line naming the file and lam, and write
+    nothing: the averaging needs a contracting cycle."""
+    _copy_run(pipeline_runs["canonical"], tmp_path, ("config.json", "limit_cycle.json"))
+    doc = json.loads((tmp_path / "limit_cycle.json").read_text())
+    doc["oscillators"][1]["cycle"]["lam"] = lam
+    (tmp_path / "limit_cycle.json").write_text(json.dumps(doc))
+    assert cli.main(["transforms", "--from", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path / "limit_cycle.json") in err and "lam" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "transforms.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     pytest.param("omega", [1.0], id="omega-one"),
     pytest.param("omega", [1.0, "x"], id="omega-string"),
@@ -446,6 +462,7 @@ def test_compare_rejects_reduced_rates_not_per_oscillator(pipeline_runs, tmp_pat
 
 
 _MANIFEST = os.path.join("trials", "manifest.json")
+_PAIR_SPEC = {"type": "pair", "m_max": 1, "ki_max": 1, "kj_max": 1, "mode": "observable"}
 
 
 @pytest.mark.parametrize("command, name, key, value", [
@@ -467,6 +484,22 @@ _MANIFEST = os.path.join("trials", "manifest.json")
                                 ("network_vf.json", "coupling", "1:0:theta"))
     for case, value in (("nested", lambda c: [[x] for x in c]),
                         ("nan", lambda c: c[:-1] + [float("nan")]))
+] + [
+    # Each fitted series' spec must be of the kind its table needs; where the
+    # wrong spec has the right size, the parent scored it or failed later.
+    pytest.param(command, name, (*path, "spec"), value, id=f"{name}-{case}")
+    for command, name, path, case, value in (
+        ("compare", "reduced_coupling.json", ("series", "1:0:phi"), "observable-spec",
+         lambda s: dict(s, mode="observable", kj_max=3)),
+        ("compare", "network_vf.json", ("coupling", "1:0:theta"), "reduced-spec",
+         lambda s: dict(s, mode="reduced", m_max=1, kj_max=5)),
+        ("compare", "network_vf.json", ("uncoupled", "1:theta"), "pair-spec", _PAIR_SPEC),
+        ("reduce-coupling", "transforms.json", ("oscillators", 0, "transforms", "inverse_phase"),
+         "pair-spec", _PAIR_SPEC),
+        ("simulate", "limit_cycle.json", ("oscillators", 0, "cycle", "gamma"), "pair-spec",
+         _PAIR_SPEC),
+        ("simulate", "limit_cycle.json", ("oscillators", 0, "cycle", "gamma"), "radial-spec",
+         {"type": "single", "n_max": 16, "k_max": 0}))
 ])
 def test_artifact_value_of_the_wrong_type_is_usage_error(pipeline_runs, tmp_path, capsys,
                                                          command, name, key, value):
@@ -474,13 +507,19 @@ def test_artifact_value_of_the_wrong_type_is_usage_error(pipeline_runs, tmp_path
     diagnostics of reduced_coupling.json and network_vf.json JSON objects,
     each fitted series' coefficients one flat list of finite numbers, and
     the trials manifest's step a finite positive number and its metadata
-    an object; otherwise the stage exits 2 with one stderr line naming the
+    an object.  The spec of gamma must be single with n_max 0, those of the
+    transforms and the uncoupled field single, those of the field's coupling
+    observable-mode pair specs and those of reduced_coupling.json reduced-mode
+    ones.  Otherwise the stage exits 2 with one stderr line naming the
     file and the key, and writes nothing.  A ``key`` tuple is the path to
     the key, and a callable ``value`` maps the key's old value to the new."""
-    output = {"compare": "report.json", "reconstruct-vf": "network_vf.json"}[command]
-    _copy_run(pipeline_runs["canonical"], tmp_path,
-              _ARTIFACTS + ("reduced_coupling.json",) if command == "compare"
-              else ("config.json", _MANIFEST, os.path.join("trials", "trial_0000.npy")))
+    output = {"compare": "report.json", "reconstruct-vf": "network_vf.json",
+              "reduce-coupling": "reduced_coupling.json", "simulate": _MANIFEST}[command]
+    _copy_run(pipeline_runs["canonical"], tmp_path, {
+        "compare": _ARTIFACTS + ("reduced_coupling.json",),
+        "reconstruct-vf": ("config.json", _MANIFEST, os.path.join("trials", "trial_0000.npy")),
+        "reduce-coupling": _ARTIFACTS,
+        "simulate": ("config.json", "limit_cycle.json")}[command])
     path = tmp_path / name
     doc = json.loads(path.read_text())
     *parents, key = key if isinstance(key, tuple) else (key,)

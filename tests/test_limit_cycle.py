@@ -69,7 +69,7 @@ def test_noncircular_cycle_profile():
     spec = models.default_spec("van_der_pol")
     frame = models.estimate_frame(spec)[0]
     vf = models.polar_uncoupled_vf(spec, 0, frame)
-    seed = models.cart_to_polar(models._settle_seed(spec, 0), frame)
+    seed = models.cycle_seed(spec, 0, frame)
     cycle = limit_cycle.find_limit_cycle(vf, seed, n_gamma=32)
     theta = np.linspace(0, 2 * np.pi, 200)
     gamma = cycle.gamma_at(theta)

@@ -36,7 +36,7 @@ def test_inverse_maps_recover_closed_forms(fitted):
     sigma_true = (r ** 2 - 1.0) / (2.0 * r ** 2)
     phi, sig = ts.inverse(th, r)
     assert np.abs(sig - sigma_true).max() < 5e-3
-    assert np.abs(transforms._wrap(phi - th)).max() < 5e-3
+    assert np.abs(transforms.wrap_angle(phi - th)).max() < 5e-3
 
 
 def test_forward_inverse_composition(fitted):
@@ -45,7 +45,7 @@ def test_forward_inverse_composition(fitted):
                         np.linspace(0.85, 1.25, 8))
     k_theta, k_r = ts.forward(*ts.inverse(th, r))
     assert np.abs(k_r - r).max() < 1e-2
-    assert np.abs(transforms._wrap(k_theta - th)).max() < 1e-2
+    assert np.abs(transforms.wrap_angle(k_theta - th)).max() < 1e-2
 
 
 def test_gradients_match_finite_differences(fitted):
@@ -86,6 +86,6 @@ def test_too_few_samples_rejected(fitted):
 
 def test_wrap_branch():
     x = np.array([0.0, np.pi, -np.pi + 1e-9, 3 * np.pi / 2, -3 * np.pi / 2])
-    w = transforms._wrap(x)
+    w = transforms.wrap_angle(x)
     assert np.all(w > -np.pi - 1e-12) and np.all(w <= np.pi + 1e-12)
     np.testing.assert_allclose(np.mod(w - x, 2 * np.pi), 0.0, atol=1e-8)

@@ -485,8 +485,8 @@ _PAIR_SPEC = {"type": "pair", "m_max": 1, "ki_max": 1, "kj_max": 1, "mode": "obs
     for case, value in (("nested", lambda c: [[x] for x in c]),
                         ("nan", lambda c: c[:-1] + [float("nan")]))
 ] + [
-    # Each fitted series' spec must be of the kind its table needs; where the
-    # wrong spec has the right size, the parent scored it or failed later.
+    # Each fitted series' spec must be of the kind its table needs: a wrong
+    # spec of the right size would otherwise be scored, or fail later on.
     pytest.param(command, name, (*path, "spec"), value, id=f"{name}-{case}")
     for command, name, path, case, value in (
         ("compare", "reduced_coupling.json", ("series", "1:0:phi"), "observable-spec",
